@@ -362,8 +362,8 @@ ltam::RuntimeOptions DurableOptions(const World& world, const std::string& dir,
   return o;
 }
 
-std::unique_ptr<AccessRuntime> OpenOrDie(const World& world,
-                                         const ltam::RuntimeOptions& options) {
+std::unique_ptr<AccessRuntime> OpenRuntime(
+    const World& world, const ltam::RuntimeOptions& options) {
   ltam::SystemState initial;
   initial.graph = world.state.graph;
   initial.profiles = world.state.profiles;
@@ -373,7 +373,7 @@ std::unique_ptr<AccessRuntime> OpenOrDie(const World& world,
   if (!rt.ok()) {
     std::fprintf(stderr, "perfbench: cannot open runtime: %s\n",
                  rt.status().ToString().c_str());
-    std::exit(1);
+    return nullptr;
   }
   return std::move(rt).ValueOrDie();
 }
@@ -418,18 +418,26 @@ void SyncFilesystem(const std::string& path) {
   close(fd);
 }
 
-uint64_t DirBytes(const std::string& dir) {
-  uint64_t total = 0;
+std::map<std::string, std::pair<uint64_t, uint64_t>> ListFiles(
+    const std::string& dir) {
+  std::map<std::string, std::pair<uint64_t, uint64_t>> out;
   DIR* d = opendir(dir.c_str());
-  if (d == nullptr) return 0;
+  if (d == nullptr) return out;
   while (dirent* e = readdir(d)) {
     struct stat st;
-    const std::string path = dir + "/" + e->d_name;
-    if (lstat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode)) {
-      total += static_cast<uint64_t>(st.st_size);
+    const std::string name = e->d_name;
+    if (lstat((dir + "/" + name).c_str(), &st) == 0 && S_ISREG(st.st_mode)) {
+      out[name] = {static_cast<uint64_t>(st.st_ino),
+                   static_cast<uint64_t>(st.st_size)};
     }
   }
   closedir(d);
+  return out;
+}
+
+uint64_t DirBytes(const std::string& dir) {
+  uint64_t total = 0;
+  for (const auto& [name, info] : ListFiles(dir)) total += info.second;
   return total;
 }
 
@@ -444,33 +452,6 @@ double PeakRssMb() {
   return 0;
 }
 
-Setup RunSetup(const WorldOptions& options, uint64_t seed,
-               const std::string& workdir, ltam::MetricsRegistry* metrics,
-               Tracer* tracer, int repetitions) {
-  Setup s;
-  for (int r = 0; r < repetitions; ++r) {
-    s.runtime.reset();
-    s.dir = NewDir(workdir, "setup");
-    const std::string& dir = s.dir;
-    const Clock::time_point t0 = Clock::now();
-    {
-      auto span = tracer->Span("setup.world");
-      s.world = MakeWorld(options, seed);
-    }
-    const double world_s = SecondsSince(t0);
-    const Clock::time_point t1 = Clock::now();
-    {
-      auto span = tracer->Span("setup.open");
-      s.runtime = OpenOrDie(s.world, DurableOptions(s.world, dir, metrics));
-    }
-    const double open_s = SecondsSince(t1);
-    s.world_s.push_back(world_s);
-    s.open_s.push_back(open_s);
-    s.total_s.push_back(world_s + open_s);
-  }
-  return s;
-}
-
 std::vector<Result<QueryResult>> RunSweep(
     const AccessRuntime& rt, const std::vector<std::string>& statements) {
   std::unique_ptr<ltam::QueryInterpreter> q = MakeInterpreter(rt);
@@ -480,9 +461,6 @@ std::vector<Result<QueryResult>> RunSweep(
   return out;
 }
 
-namespace {
-
-/// Checks a sweep of `answers` against `reference`, one check each.
 void CheckSweep(const std::vector<Result<QueryResult>>& answers,
                 const std::vector<Result<QueryResult>>& reference,
                 const char* what, Report* report) {
@@ -493,14 +471,48 @@ void CheckSweep(const std::vector<Result<QueryResult>>& answers,
   }
 }
 
-}  // namespace
+double IngestChunk(AccessRuntime* rt, const World& world,
+                   const std::vector<std::vector<AccessEvent>>& batches,
+                   const std::vector<std::vector<Decision>>& decisions,
+                   size_t first, size_t last, size_t cover_every,
+                   std::vector<double>* apply_ms, std::vector<double>* wait_ms,
+                   Tracer* tracer, Report* report) {
+  double seconds = 0;
+  for (size_t b = first; b < last; ++b) {
+    const Clock::time_point t0 = Clock::now();
+    Result<ltam::BatchResult> r = [&] {
+      auto span = tracer->Span("runtime.apply_batch");
+      return rt->ApplyBatch(batches[b]);
+    }();
+    const double dt = SecondsSince(t0);
+    seconds += dt;
+    if (apply_ms != nullptr) apply_ms->push_back(dt * 1e3);
+    report->Check(r.ok() && r->durability.ok(), "ApplyBatch");
+    report->Check(SameDecisions(r, decisions[b]), "decisions match the oracle");
+    if ((b - first) % cover_every == 0) {
+      report->Check(r.ok() && GrantsCovered(world, batches[b], r->decisions),
+                    "grants covered by generated authorizations");
+    }
+  }
+  const Clock::time_point w0 = Clock::now();
+  const bool durable = [&] {
+    auto span = tracer->Span("runtime.wait_durable");
+    return rt->WaitDurable().ok();
+  }();
+  const double wait_s = SecondsSince(w0);
+  report->Check(durable, "WaitDurable");
+  if (wait_ms != nullptr) wait_ms->push_back(wait_s * 1e3);
+  return seconds + wait_s;
+}
 
 CatchupResult CatchUpReplica(const World& world, AccessRuntime* primary,
                              const std::string& workdir, size_t chunk,
                              Tracer* tracer, Report* report) {
   CatchupResult out;
   const std::string replica_dir = NewDir(workdir, "replica");
-  out.replica = OpenOrDie(world, DurableOptions(world, replica_dir, nullptr));
+  out.replica = OpenRuntime(world, DurableOptions(world, replica_dir, nullptr));
+  report->Check(out.replica != nullptr, "open replica");
+  if (out.replica == nullptr) return out;
   {
     auto span = tracer->Span("replication.demote");
     report->Check(out.replica->DemoteToReplica().ok(), "DemoteToReplica");
@@ -560,34 +572,48 @@ CatchupResult CatchUpReplica(const World& world, AccessRuntime* primary,
   return out;
 }
 
-PrologueResult RunPrologue(const World& world,
-                           std::unique_ptr<AccessRuntime> rt,
-                           const std::string& dir, const std::string& workdir,
-                           EventStream* stream, Oracle* oracle,
-                           ltam::MetricsRegistry* metrics, Tracer* tracer,
-                           Report* report) {
+namespace {
+
+/// Set-ups per run; `setup_s` is their median.
+constexpr int kSetups = 15;
+/// Catch-ups, checkpoints and reopens of the boot prologue, each.
+constexpr int kPrologueRepeats = 15;
+/// The prologue's history (batches of 512 events) and the slice size
+/// its catch-ups read: one slice holds a shard's whole history.
+constexpr int kPrologueBatches = 48;
+constexpr size_t kPrologueSlice = 16384;
+
+struct Prologue {
+  std::vector<double> catchup_s, checkpoint_ms, recovery_s;
+};
+
+/// The boot prologue on the set-up runtime `ctx->runtime`: preload a
+/// short history; catch fresh replicas up from it (one slice per
+/// shard), checkpoint, close and reopen, each kPrologueRepeats times.
+/// Leaves the runtime reopened last in `ctx->runtime` (null when no
+/// reopen succeeded).
+Prologue RunPrologue(Context* ctx) {
+  Tracer* tracer = &ctx->tracer;
+  Report* report = &ctx->report;
+  const World& world = ctx->world;
   auto prologue_span = tracer->Span("bench.prologue");
-  PrologueResult out;
-  // A short history: 6 batches of 512 events, about 1.5k records per
-  // shard, so each catch-up ships one slice per shard.
-  for (int b = 0; b < 6; ++b) {
-    const std::vector<AccessEvent> batch = stream->Next(512);
-    Result<ltam::BatchResult> r = [&] {
-      auto span = tracer->Span("runtime.apply_batch");
-      return rt->ApplyBatch(batch);
-    }();
-    report->Check(r.ok() && r->durability.ok(), "prologue ApplyBatch");
-    report->Check(SameDecisions(r, oracle->Apply(batch)),
-                  "prologue decisions match the oracle");
-    report->Check(r.ok() && GrantsCovered(world, batch, r->decisions),
-                  "prologue grants covered by generated authorizations");
+  Prologue out;
+  // A short history: 48 batches of 512 events, about 12k records per
+  // shard. Each catch-up ships it in one slice per shard, so the
+  // figure has no rescan cost (ROADMAP item 5 shows in replica_catchup
+  // only), and is long enough that the replica's final fsync is a small
+  // share of it.
+  std::vector<std::vector<AccessEvent>> batches;
+  std::vector<std::vector<Decision>> decisions;
+  for (int b = 0; b < kPrologueBatches; ++b) {
+    batches.push_back(ctx->stream->Next(512));
+    decisions.push_back(ctx->oracle->Apply(batches.back()));
   }
-  {
-    auto span = tracer->Span("runtime.wait_durable");
-    report->Check(rt->WaitDurable().ok(), "prologue WaitDurable");
-  }
-  ltam::Rng rng(stream->now() * 31 + 5);
-  auto at = [&] { return std::to_string(rng.UniformRange(1, stream->now())); };
+  IngestChunk(ctx->runtime.get(), world, batches, decisions, 0, batches.size(),
+              1, nullptr, nullptr, tracer, report);
+  const Chronon now = ctx->stream->now();
+  ltam::Rng rng(now * 31 + 5);
+  auto at = [&] { return std::to_string(rng.UniformRange(1, now)); };
   std::vector<std::string> sweep;
   for (int i = 0; i < 48; ++i) {
     const SubjectId s = world.subjects[rng.Uniform(world.subjects.size())];
@@ -598,42 +624,126 @@ PrologueResult RunPrologue(const World& world,
     sweep.push_back("OCCUPANTS OF " + world.RoomName(l) + " AT " + at());
   }
   std::vector<Result<QueryResult>> reference;
-  for (const std::string& s : sweep) reference.push_back(oracle->Query(s));
-  CheckSweep(RunSweep(*rt, sweep), reference, "prologue primary vs oracle",
-             report);
+  for (const std::string& s : sweep) reference.push_back(ctx->oracle->Query(s));
+  CheckSweep(RunSweep(*ctx->runtime, sweep), reference,
+             "prologue primary vs oracle", report);
 
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < kPrologueRepeats; ++i) {
     CatchupResult c =
-        CatchUpReplica(world, rt.get(), workdir, 2048, tracer, report);
+        CatchUpReplica(world, ctx->runtime.get(), ctx->args.workdir,
+                       kPrologueSlice, tracer, report);
     out.catchup_s.push_back(c.seconds);
     if (c.replica != nullptr) {
       CheckSweep(RunSweep(*c.replica, sweep), reference,
                  "prologue replica vs oracle", report);
     }
   }
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < kPrologueRepeats; ++i) {
     const Clock::time_point t0 = Clock::now();
     Status st = [&] {
       auto span = tracer->Span("storage.checkpoint");
-      return rt->Checkpoint();
+      return ctx->runtime->Checkpoint();
     }();
     out.checkpoint_ms.push_back(SecondsSince(t0) * 1e3);
     report->Check(st.ok(), "prologue Checkpoint");
   }
-  rt.reset();
-  for (int i = 0; i < 5; ++i) {
-    out.runtime.reset();
+  for (int i = 0; i < kPrologueRepeats; ++i) {
+    ctx->runtime.reset();
     const Clock::time_point t0 = Clock::now();
     {
       auto span = tracer->Span("storage.recover");
-      out.runtime = OpenOrDie(world, DurableOptions(world, dir, metrics));
+      ctx->runtime = OpenRuntime(
+          world, DurableOptions(world, ctx->dir, ctx->metrics));
     }
     out.recovery_s.push_back(SecondsSince(t0));
-    report->Check(true, "prologue reopen");
-    CheckSweep(RunSweep(*out.runtime, sweep), reference,
+    report->Check(ctx->runtime != nullptr, "prologue reopen");
+    if (ctx->runtime == nullptr) continue;
+    CheckSweep(RunSweep(*ctx->runtime, sweep), reference,
                "prologue reopened vs oracle", report);
   }
   return out;
+}
+
+}  // namespace
+
+Context::Context(const Args& a, Tracer& t, Report& r,
+                 ltam::MetricsRegistry* m)
+    : args(a), tracer(t), report(r), metrics(m) {}
+
+int RunWorkload(const Args& args, const Workload& workload, Tracer& tracer,
+                Report& report) {
+  std::unique_ptr<ltam::MetricsRegistry> metrics;
+  if (args.trace) metrics = std::make_unique<ltam::MetricsRegistry>();
+  Context ctx(args, tracer, report, metrics.get());
+
+  // Set-up, repeated: world generation + Open of a fresh durable
+  // directory. The last repetition's world and runtime are kept.
+  WorldOptions world_options;
+  world_options.span = workload.span;
+  std::vector<double> setup_s, world_s, open_s;
+  for (int r = 0; r < kSetups; ++r) {
+    ctx.runtime.reset();
+    ctx.dir = NewDir(args.workdir, "setup");
+    const Clock::time_point t0 = Clock::now();
+    {
+      auto span = tracer.Span("setup.world");
+      ctx.world = MakeWorld(world_options, args.world_seed);
+    }
+    world_s.push_back(SecondsSince(t0));
+    const Clock::time_point t1 = Clock::now();
+    {
+      auto span = tracer.Span("setup.open");
+      ctx.runtime = OpenRuntime(
+          ctx.world, DurableOptions(ctx.world, ctx.dir, ctx.metrics));
+    }
+    open_s.push_back(SecondsSince(t1));
+    setup_s.push_back(world_s.back() + open_s.back());
+    if (ctx.runtime == nullptr) return 1;
+  }
+
+  ctx.stream =
+      std::make_unique<EventStream>(&ctx.world, args.schedule_seed ^ 0x5eed);
+  ctx.oracle = std::make_unique<Oracle>(ctx.world);
+  const Prologue prologue = RunPrologue(&ctx);
+  if (ctx.runtime == nullptr) return 1;
+
+  EndToEnd e2e;
+  {
+    auto main_span = tracer.Span("bench.main");
+    const int rc = workload.phase(ctx, &e2e);
+    if (rc != 0) return rc;
+  }
+
+  auto own_or_prologue = [](const std::vector<double>& own,
+                            const std::vector<double>& fallback) {
+    return Median(own.empty() ? fallback : own);
+  };
+  report.Metric("setup_s", Median(setup_s), "s");
+  report.Metric("ingest_p50_ms", e2e.ingest_p50_ms, "ms");
+  report.Metric("ingest_p99_ms", e2e.ingest_p99_ms, "ms");
+  report.Metric("max_rate_eps", e2e.max_rate_eps, "ev/s");
+  report.Metric("query_p50_ms", e2e.query_p50_ms, "ms");
+  report.Metric("query_p99_ms", e2e.query_p99_ms, "ms");
+  report.Metric("ingest_eps", e2e.ingest_eps, "ev/s");
+  report.Metric("checkpoint_p50_ms",
+                own_or_prologue(e2e.checkpoint_ms, prologue.checkpoint_ms),
+                "ms");
+  report.Metric("recovery_s",
+                own_or_prologue(e2e.recovery_s, prologue.recovery_s), "s");
+  report.Metric("catchup_s",
+                own_or_prologue(e2e.catchup_s, prologue.catchup_s), "s");
+  report.Metric("disk_bytes_per_event", e2e.disk_bytes_per_event, "B");
+  report.Metric("peak_rss_mb", PeakRssMb(), "MB");
+
+  if (metrics != nullptr) {
+    report.Metric("runtime.apply_batch_p50_ms",
+                  HistUs(*metrics, "runtime.apply_batch") / 1e3, "ms");
+    report.Metric("storage.wal_sync_p50_us", HistUs(*metrics, "wal.sync"),
+                  "us");
+  }
+  report.Metric("setup.world_s", Median(world_s), "s");
+  report.Metric("setup.open_s", Median(open_s), "s");
+  return 0;
 }
 
 void ReportCallCounts(const Tracer& tracer, Report* report) {

@@ -280,10 +280,10 @@ std::vector<ltam::Result<ltam::QueryResult>> RunSweep(
 ltam::RuntimeOptions DurableOptions(const World& world, const std::string& dir,
                                     ltam::MetricsRegistry* metrics);
 
-/// Opens a runtime or aborts the run with the error (a benchmark that
-/// cannot open its runtime has nothing to measure).
-std::unique_ptr<AccessRuntime> OpenOrDie(const World& world,
-                                         const ltam::RuntimeOptions& options);
+/// Opens a runtime over a copy of the world's stores; null (with the
+/// error on standard error) when Open fails.
+std::unique_ptr<AccessRuntime> OpenRuntime(const World& world,
+                                           const ltam::RuntimeOptions& options);
 
 /// Creates an empty directory (removing any previous one).
 void FreshDir(const std::string& dir);
@@ -295,22 +295,30 @@ void RemoveDir(const std::string& dir);
 /// Flushes the filesystem holding `path` (syncfs), including the
 /// discards of deleted files.
 void SyncFilesystem(const std::string& path);
+/// Name -> (inode, size) of the regular files in `dir`.
+std::map<std::string, std::pair<uint64_t, uint64_t>> ListFiles(
+    const std::string& dir);
 /// Total bytes of the regular files in `dir`.
 uint64_t DirBytes(const std::string& dir);
 /// Peak resident set size of this process, MB.
 double PeakRssMb();
 
-/// Set-up, repeated: world generation + Open of a fresh durable
-/// directory. The last repetition's world and runtime are kept.
-struct Setup {
-  World world;
-  std::string dir;  // Directory of the kept runtime.
-  std::unique_ptr<AccessRuntime> runtime;
-  std::vector<double> total_s, world_s, open_s;
-};
-Setup RunSetup(const WorldOptions& options, uint64_t seed,
-               const std::string& workdir, ltam::MetricsRegistry* metrics,
-               Tracer* tracer, int repetitions);
+/// Closed-loop ingest of batches [first, last) followed by WaitDurable.
+/// Each batch is one timed ApplyBatch checked against the oracle's
+/// decisions; every `cover_every`-th batch also gets the grant-coverage
+/// check. Appends each ApplyBatch time to `apply_ms` and the WaitDurable
+/// time to `wait_ms` (either may be null); returns the chunk's seconds.
+double IngestChunk(AccessRuntime* rt, const World& world,
+                   const std::vector<std::vector<AccessEvent>>& batches,
+                   const std::vector<std::vector<ltam::Decision>>& decisions,
+                   size_t first, size_t last, size_t cover_every,
+                   std::vector<double>* apply_ms, std::vector<double>* wait_ms,
+                   Tracer* tracer, Report* report);
+
+/// Checks a sweep of `answers` against `reference`, one check each.
+void CheckSweep(const std::vector<ltam::Result<ltam::QueryResult>>& answers,
+                const std::vector<ltam::Result<ltam::QueryResult>>& reference,
+                const char* what, Report* report);
 
 /// One replica catch-up: a fresh demoted replica (in a new directory
 /// under `workdir`) pulls every durable record of `primary` in
@@ -329,22 +337,64 @@ CatchupResult CatchUpReplica(const World& world, AccessRuntime* primary,
                              const std::string& workdir, size_t chunk,
                              Tracer* tracer, Report* report);
 
-/// Metrics of the boot prologue every workload runs on its set-up
-/// runtime: preload a short history, catch a replica up from it (one
-/// slice per shard), checkpoint and reopen, each several times.
-struct PrologueResult {
-  std::vector<double> catchup_s;
-  std::vector<double> checkpoint_ms;
-  std::vector<double> recovery_s;
-  /// The runtime reopened last, holding the preloaded history.
+// --- The common frame of every workload --------------------------------------
+
+/// The figures every workload reports from its own phase (README
+/// "End-to-end metrics" and the ingest and query rows of "Per-layer
+/// metrics"). `checkpoint_ms`, `recovery_s` and `catchup_s` hold samples;
+/// when the phase leaves one empty, the boot prologue's samples are used.
+struct EndToEnd {
+  double ingest_p50_ms = 0;
+  double ingest_p99_ms = 0;
+  double max_rate_eps = 0;
+  double query_p50_ms = 0;
+  double query_p99_ms = 0;
+  double ingest_eps = 0;
+  double disk_bytes_per_event = 0;
+  std::vector<double> checkpoint_ms, recovery_s, catchup_s;
+};
+
+/// What a workload's own phase runs on: the world and set-up directory,
+/// the runtime the boot prologue reopened last (holding the prologue's
+/// history, written by `stream` and replayed through `oracle`), the
+/// registry of a traced run (null otherwise), the tracer and the report.
+/// `world` keeps its address: `stream` points into it.
+struct Context {
+  Context(const Args& args, Tracer& tracer, Report& report,
+          ltam::MetricsRegistry* metrics);
+  Context(const Context&) = delete;
+  Context& operator=(const Context&) = delete;
+  const Args& args;
+  Tracer& tracer;
+  Report& report;
+  ltam::MetricsRegistry* metrics;
+  World world;
+  std::string dir;
+  std::unique_ptr<EventStream> stream;
+  std::unique_ptr<Oracle> oracle;
   std::unique_ptr<AccessRuntime> runtime;
 };
-PrologueResult RunPrologue(const World& world,
-                           std::unique_ptr<AccessRuntime> rt,
-                           const std::string& dir, const std::string& workdir,
-                           EventStream* stream, Oracle* oracle,
-                           ltam::MetricsRegistry* metrics, Tracer* tracer,
-                           Report* report);
+
+/// A workload: its name, the authorization span of its world (fitted to
+/// the time its event stream covers) and its own phase, which fills
+/// `e2e`, reports its per-layer metrics and returns nonzero when it
+/// could not run at all.
+struct Workload {
+  const char* name;
+  Chronon span;
+  int (*phase)(Context& ctx, EndToEnd* e2e);
+};
+extern const Workload kWireMixed;
+extern const Workload kHistoryRetention;
+extern const Workload kReplicaCatchup;
+
+/// Runs one workload: set-up (world + Open of a fresh directory,
+/// repeated), the boot prologue on the set-up runtime (preload a short
+/// history; catch replicas up from it, checkpoint and reopen, each many
+/// times), then the workload's phase inside the "bench.main" span;
+/// reports every end-to-end metric and the shared per-layer ones.
+int RunWorkload(const Args& args, const Workload& workload, Tracer& tracer,
+                Report& report);
 
 /// Per-layer call counts of the main phase (spans under "bench.main"),
 /// so the workload split is visible: checkpoint, replication and
@@ -357,12 +407,6 @@ void ReportSelfTimes(const Tracer& tracer, Report* report);
 /// Quantile of a registry histogram in microseconds (0 when absent).
 double HistUs(const ltam::MetricsRegistry& metrics, const char* name,
               double q = 0.5);
-
-/// The workloads. Each fills `report` with every metric it measures and
-/// returns 0, or returns nonzero when it could not run at all.
-int RunWireMixed(const Args& args, Tracer& tracer, Report& report);
-int RunHistoryRetention(const Args& args, Tracer& tracer, Report& report);
-int RunReplicaCatchup(const Args& args, Tracer& tracer, Report& report);
 
 }  // namespace perfbench
 

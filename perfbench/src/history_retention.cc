@@ -7,13 +7,8 @@
 // directory. No service call is made. A cycle starts from a fresh
 // directory; a run makes a fixed number of whole cycles for --seconds.
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cstdio>
-#include <map>
-
-#include <dirent.h>
 
 #include "bench.h"
 
@@ -36,28 +31,10 @@ constexpr size_t kMaxHotEvents = 2048;
 constexpr uint32_t kFanin = 8;
 constexpr Chronon kSealInterval = 64;
 constexpr Chronon kSlack = kFanin * kSealInterval;
-constexpr int kReopens = 5;
+constexpr int kReopens = 8;
 /// Seconds of --seconds per cycle: a run makes seconds / kCycleSeconds
 /// whole cycles (README "Workloads").
 constexpr double kCycleSeconds = 10;
-
-/// Name -> (inode, size) of the regular files in `dir`.
-std::map<std::string, std::pair<uint64_t, uint64_t>> ListFiles(
-    const std::string& dir) {
-  std::map<std::string, std::pair<uint64_t, uint64_t>> out;
-  DIR* d = opendir(dir.c_str());
-  if (d == nullptr) return out;
-  while (dirent* e = readdir(d)) {
-    struct stat st;
-    const std::string name = e->d_name;
-    if (lstat((dir + "/" + name).c_str(), &st) == 0 && S_ISREG(st.st_mode)) {
-      out[name] = {static_cast<uint64_t>(st.st_ino),
-                   static_cast<uint64_t>(st.st_size)};
-    }
-  }
-  closedir(d);
-  return out;
-}
 
 /// The inputs of one cycle and the oracle's view of them, identical in
 /// every cycle of a run.
@@ -186,49 +163,28 @@ void RunCycle(const World& world, const Inputs& in, const std::string& workdir,
   std::unique_ptr<AccessRuntime> rt;
   {
     auto span = tracer->Span("runtime.open");
-    rt = OpenOrDie(world, options);
+    rt = OpenRuntime(world, options);
   }
+  report->Check(rt != nullptr, "open primary");
+  if (rt == nullptr) return;
   report->Check(options.retention.compaction_fanin == kFanin,
                 "default compaction fan-in as documented");
 
   // Build: chunks of kCheckpointEvery batches, each through WaitDurable,
   // then the chunk's checkpoint (seal, drop, compact).
   for (size_t c = 0; c < kBuildBatches / kCheckpointEvery; ++c) {
-    double chunk_s = 0;
-    size_t chunk_events = 0;
-    for (size_t b = c * kCheckpointEvery; b < (c + 1) * kCheckpointEvery; ++b) {
-      const Clock::time_point t0 = Clock::now();
-      Result<ltam::BatchResult> r = [&] {
-        auto span = tracer->Span("runtime.apply_batch");
-        return rt->ApplyBatch(in.build[b]);
-      }();
-      const double dt = SecondsSince(t0);
-      chunk_s += dt;
-      s->apply_ms.push_back(dt * 1e3);
-      chunk_events += in.build[b].size();
-      report->Check(r.ok() && r->durability.ok(), "ApplyBatch");
-      report->Check(SameDecisions(r, in.build_decisions[b]),
-                    "decisions match the oracle");
-      if (b % 4 == 0) {
-        report->Check(r.ok() && GrantsCovered(world, in.build[b], r->decisions),
-                      "grants covered by generated authorizations");
-      }
-    }
-    const Clock::time_point w0 = Clock::now();
-    {
-      auto span = tracer->Span("runtime.wait_durable");
-      report->Check(rt->WaitDurable().ok(), "WaitDurable");
-    }
-    const double wait_s = SecondsSince(w0);
-    s->wait_ms.push_back(wait_s * 1e3);
-    chunk_s += wait_s;
-    s->chunk_eps.push_back(static_cast<double>(chunk_events) / chunk_s);
+    const size_t first = c * kCheckpointEvery;
+    const size_t last = first + kCheckpointEvery;
+    const double chunk_s =
+        IngestChunk(rt.get(), world, in.build, in.build_decisions, first, last,
+                    4, &s->apply_ms, &s->wait_ms, tracer, report);
+    const double chunk_events =
+        static_cast<double>(kCheckpointEvery * kBatchEvents);
+    s->chunk_eps.push_back(chunk_events / chunk_s);
     double checkpoint_s = 0;
-    CheckpointAndCheck(rt.get(), world, dir,
-                       in.build[(c + 1) * kCheckpointEvery - 1].back().time,
+    CheckpointAndCheck(rt.get(), world, dir, in.build[last - 1].back().time,
                        false, s, tracer, report, &checkpoint_s);
-    s->sustained_eps.push_back(static_cast<double>(chunk_events) /
-                               (chunk_s + checkpoint_s));
+    s->sustained_eps.push_back(chunk_events / (chunk_s + checkpoint_s));
   }
   s->disk_per_event.push_back(
       static_cast<double>(DirBytes(dir)) /
@@ -276,10 +232,11 @@ void RunCycle(const World& world, const Inputs& in, const std::string& workdir,
     const Clock::time_point t0 = Clock::now();
     {
       auto span = tracer->Span("storage.recover");
-      rt = OpenOrDie(world, options);
+      rt = OpenRuntime(world, options);
     }
     s->recovery_s.push_back(SecondsSince(t0));
-    report->Check(true, "reopen");
+    report->Check(rt != nullptr, "reopen");
+    if (rt == nullptr) continue;
     auto span = tracer->Span("bench.check");
     std::unique_ptr<ltam::QueryInterpreter> q = MakeInterpreter(*rt);
     for (size_t k = 0; k < in.sweep.size(); k += 5) {
@@ -290,59 +247,31 @@ void RunCycle(const World& world, const Inputs& in, const std::string& workdir,
   }
 }
 
-}  // namespace
-
-int RunHistoryRetention(const Args& args, Tracer& tracer, Report& report) {
-  std::unique_ptr<ltam::MetricsRegistry> metrics;
-  if (args.trace) metrics = std::make_unique<ltam::MetricsRegistry>();
-  WorldOptions wo;
-  wo.span = 2 * static_cast<Chronon>(kBuildBatches) + 64;
-  Setup setup =
-      RunSetup(wo, args.world_seed, args.workdir, metrics.get(), &tracer, 5);
-  const World& world = setup.world;
-  PrologueResult prologue;
-  {
-    EventStream stream(&world, args.schedule_seed ^ 0x5eed);
-    Oracle oracle(world);
-    prologue = RunPrologue(world, std::move(setup.runtime), setup.dir,
-                           args.workdir, &stream, &oracle,
-                           metrics.get(), &tracer, &report);
-  }
-  prologue.runtime.reset();
-
+int HistoryRetentionPhase(Context& ctx, EndToEnd* e2e) {
+  ctx.runtime.reset();
+  const World& world = ctx.world;
   Inputs inputs;
   {
-    auto span = tracer.Span("bench.oracle");
-    inputs = MakeInputs(world, args.schedule_seed);
+    auto span = ctx.tracer.Span("bench.oracle");
+    inputs = MakeInputs(world, ctx.args.schedule_seed);
   }
   Samples s;
-  {
-    auto main_span = tracer.Span("bench.main");
-    for (int c = 0; c < Cycles(args.seconds, kCycleSeconds); ++c) {
-      RunCycle(world, inputs, args.workdir, metrics.get(), &s, &tracer,
-               &report);
-    }
+  for (int c = 0; c < Cycles(ctx.args.seconds, kCycleSeconds); ++c) {
+    RunCycle(world, inputs, ctx.args.workdir, ctx.metrics, &s, &ctx.tracer,
+             &ctx.report);
   }
 
-  report.Metric("setup_s", Median(setup.total_s), "s");
-  report.Metric("ingest_p50_ms", Median(s.apply_ms), "ms");
-  report.Metric("ingest_p99_ms", Quantile(s.apply_ms, 0.99), "ms");
-  report.Metric("max_rate_eps", Median(s.sustained_eps), "ev/s");
-  report.Metric("query_p50_ms", Median(s.query_ms), "ms");
-  report.Metric("query_p99_ms", Quantile(s.query_ms, 0.99), "ms");
-  report.Metric("ingest_eps", Median(s.chunk_eps), "ev/s");
-  report.Metric("checkpoint_p50_ms", Median(s.checkpoint_ms), "ms");
-  report.Metric("recovery_s", Median(s.recovery_s), "s");
-  report.Metric("catchup_s", Median(prologue.catchup_s), "s");
-  report.Metric("disk_bytes_per_event", Median(s.disk_per_event), "B");
-  report.Metric("peak_rss_mb", PeakRssMb(), "MB");
+  e2e->ingest_p50_ms = Median(s.apply_ms);
+  e2e->ingest_p99_ms = Quantile(s.apply_ms, 0.99);
+  e2e->max_rate_eps = Median(s.sustained_eps);
+  e2e->query_p50_ms = Median(s.query_ms);
+  e2e->query_p99_ms = Quantile(s.query_ms, 0.99);
+  e2e->ingest_eps = Median(s.chunk_eps);
+  e2e->checkpoint_ms = s.checkpoint_ms;
+  e2e->recovery_s = s.recovery_s;
+  e2e->disk_bytes_per_event = Median(s.disk_per_event);
 
-  if (metrics != nullptr) {
-    report.Metric("runtime.apply_batch_p50_ms",
-                  HistUs(*metrics, "runtime.apply_batch") / 1e3, "ms");
-    report.Metric("storage.wal_sync_p50_us",
-                  HistUs(*metrics, "wal.sync"), "us");
-  }
+  Report& report = ctx.report;
   report.Metric("runtime.wait_durable_ms", Median(s.wait_ms), "ms");
   report.Metric("storage.checkpoint_bytes_written",
                 Median(s.checkpoint_bytes), "B");
@@ -364,9 +293,16 @@ int RunHistoryRetention(const Args& args, Tracer& tracer, Report& report) {
                 Median(s.query_kind_us[1]), "us");
   report.Metric("query.occupants_p50_us", Median(s.query_kind_us[2]), "us");
   report.Metric("query.contacts_p50_us", Median(s.query_kind_us[3]), "us");
-  report.Metric("setup.world_s", Median(setup.world_s), "s");
-  report.Metric("setup.open_s", Median(setup.open_s), "s");
   return 0;
 }
+
+}  // namespace
+
+/// The stream covers kBuildBatches * kBatchEvents / 256 chronons (256
+/// subjects act per chronon) plus the dirty rounds.
+const Workload kHistoryRetention = {
+    "history_retention",
+    static_cast<Chronon>(kBuildBatches * kBatchEvents / 256) + 64,
+    &HistoryRetentionPhase};
 
 }  // namespace perfbench

@@ -24,8 +24,8 @@ constexpr size_t kBatchEvents = 512;
 constexpr size_t kBatches = 512;  // 262,144 events, 1024 chronons.
 constexpr size_t kChunkBatches = 32;
 constexpr size_t kShipChunk = 2048;
-constexpr int kCatchups = 3;
-constexpr int kReopens = 3;
+constexpr int kCatchups = 5;
+constexpr int kReopens = 5;
 /// Seconds of --seconds per cycle: a run makes seconds / kCycleSeconds
 /// whole cycles (README "Workloads").
 constexpr double kCycleSeconds = 6;
@@ -80,37 +80,17 @@ void RunCycle(const World& world, const Inputs& in, const std::string& workdir,
   std::unique_ptr<AccessRuntime> rt;
   {
     auto span = tracer->Span("runtime.open");
-    rt = OpenOrDie(world, options);
+    rt = OpenRuntime(world, options);
   }
+  report->Check(rt != nullptr, "open primary");
+  if (rt == nullptr) return;
   double ingest_s = 0;
   for (size_t c = 0; c < kBatches / kChunkBatches; ++c) {
-    double chunk_s = 0;
-    for (size_t b = c * kChunkBatches; b < (c + 1) * kChunkBatches; ++b) {
-      const Clock::time_point t0 = Clock::now();
-      Result<ltam::BatchResult> r = [&] {
-        auto span = tracer->Span("runtime.apply_batch");
-        return rt->ApplyBatch(in.batches[b]);
-      }();
-      const double dt = SecondsSince(t0);
-      chunk_s += dt;
-      s->apply_ms.push_back(dt * 1e3);
-      report->Check(r.ok() && r->durability.ok(), "ApplyBatch");
-      report->Check(SameDecisions(r, in.decisions[b]),
-                    "decisions match the oracle");
-      if (b % 8 == 0) {
-        report->Check(
-            r.ok() && GrantsCovered(world, in.batches[b], r->decisions),
-            "grants covered by generated authorizations");
-      }
-    }
-    const Clock::time_point w0 = Clock::now();
-    {
-      auto span = tracer->Span("runtime.wait_durable");
-      report->Check(rt->WaitDurable().ok(), "WaitDurable");
-    }
-    const double wait_s = SecondsSince(w0);
-    s->wait_ms.push_back(wait_s * 1e3);
-    chunk_s += wait_s;
+    const size_t first = c * kChunkBatches;
+    const double chunk_s =
+        IngestChunk(rt.get(), world, in.batches, in.decisions, first,
+                    first + kChunkBatches, 8, &s->apply_ms, &s->wait_ms,
+                    tracer, report);
     ingest_s += chunk_s;
     s->chunk_eps.push_back(static_cast<double>(kChunkBatches * kBatchEvents) /
                            chunk_s);
@@ -168,10 +148,11 @@ void RunCycle(const World& world, const Inputs& in, const std::string& workdir,
     const Clock::time_point t0 = Clock::now();
     {
       auto span = tracer->Span("storage.recover");
-      rt = OpenOrDie(world, options);
+      rt = OpenRuntime(world, options);
     }
     s->recovery_s.push_back(SecondsSince(t0));
-    report->Check(true, "reopen");
+    report->Check(rt != nullptr, "reopen");
+    if (rt == nullptr) continue;
     auto span = tracer->Span("bench.check");
     const auto answers = RunSweep(*rt, in.sweep);
     for (size_t k = 0; k < answers.size(); k += 2) {
@@ -182,59 +163,31 @@ void RunCycle(const World& world, const Inputs& in, const std::string& workdir,
   }
 }
 
-}  // namespace
-
-int RunReplicaCatchup(const Args& args, Tracer& tracer, Report& report) {
-  std::unique_ptr<ltam::MetricsRegistry> metrics;
-  if (args.trace) metrics = std::make_unique<ltam::MetricsRegistry>();
-  WorldOptions wo;
-  wo.span = static_cast<Chronon>(kBatches * kBatchEvents / 256) + 64;
-  Setup setup =
-      RunSetup(wo, args.world_seed, args.workdir, metrics.get(), &tracer, 5);
-  const World& world = setup.world;
-  PrologueResult prologue;
-  {
-    EventStream stream(&world, args.schedule_seed ^ 0x5eed);
-    Oracle oracle(world);
-    prologue = RunPrologue(world, std::move(setup.runtime), setup.dir,
-                           args.workdir, &stream, &oracle,
-                           metrics.get(), &tracer, &report);
-  }
-  prologue.runtime.reset();
-
+int ReplicaCatchupPhase(Context& ctx, EndToEnd* e2e) {
+  ctx.runtime.reset();
+  const World& world = ctx.world;
   Inputs inputs;
   {
-    auto span = tracer.Span("bench.oracle");
-    inputs = MakeInputs(world, args.schedule_seed);
+    auto span = ctx.tracer.Span("bench.oracle");
+    inputs = MakeInputs(world, ctx.args.schedule_seed);
   }
   Samples s;
-  {
-    auto main_span = tracer.Span("bench.main");
-    for (int c = 0; c < Cycles(args.seconds, kCycleSeconds); ++c) {
-      RunCycle(world, inputs, args.workdir, metrics.get(), &s, &tracer,
-               &report);
-    }
+  for (int c = 0; c < Cycles(ctx.args.seconds, kCycleSeconds); ++c) {
+    RunCycle(world, inputs, ctx.args.workdir, ctx.metrics, &s, &ctx.tracer,
+             &ctx.report);
   }
 
-  report.Metric("setup_s", Median(setup.total_s), "s");
-  report.Metric("ingest_p50_ms", Median(s.apply_ms), "ms");
-  report.Metric("ingest_p99_ms", Quantile(s.apply_ms, 0.99), "ms");
-  report.Metric("max_rate_eps", Median(s.pair_eps), "ev/s");
-  report.Metric("query_p50_ms", Median(s.query_ms), "ms");
-  report.Metric("query_p99_ms", Quantile(s.query_ms, 0.99), "ms");
-  report.Metric("ingest_eps", Median(s.chunk_eps), "ev/s");
-  report.Metric("checkpoint_p50_ms", Median(prologue.checkpoint_ms), "ms");
-  report.Metric("recovery_s", Median(s.recovery_s), "s");
-  report.Metric("catchup_s", Median(s.catchup_s), "s");
-  report.Metric("disk_bytes_per_event", Median(s.disk_per_event), "B");
-  report.Metric("peak_rss_mb", PeakRssMb(), "MB");
+  e2e->ingest_p50_ms = Median(s.apply_ms);
+  e2e->ingest_p99_ms = Quantile(s.apply_ms, 0.99);
+  e2e->max_rate_eps = Median(s.pair_eps);
+  e2e->query_p50_ms = Median(s.query_ms);
+  e2e->query_p99_ms = Quantile(s.query_ms, 0.99);
+  e2e->ingest_eps = Median(s.chunk_eps);
+  e2e->recovery_s = s.recovery_s;
+  e2e->catchup_s = s.catchup_s;
+  e2e->disk_bytes_per_event = Median(s.disk_per_event);
 
-  if (metrics != nullptr) {
-    report.Metric("runtime.apply_batch_p50_ms",
-                  HistUs(*metrics, "runtime.apply_batch") / 1e3, "ms");
-    report.Metric("storage.wal_sync_p50_us",
-                  HistUs(*metrics, "wal.sync"), "us");
-  }
+  Report& report = ctx.report;
   report.Metric("runtime.wait_durable_ms", Median(s.wait_ms), "ms");
   // The runtime exposes no replay counter (its replication positions
   // read 0 after a reopen), so this is the WAL tail the benchmark wrote
@@ -248,9 +201,14 @@ int RunReplicaCatchup(const Args& args, Tracer& tracer, Report& report) {
                 Median(s.apply_chunk_ms), "ms");
   report.Metric("replication.records_shipped", static_cast<double>(s.shipped),
                 "count");
-  report.Metric("setup.world_s", Median(setup.world_s), "s");
-  report.Metric("setup.open_s", Median(setup.open_s), "s");
   return 0;
 }
+
+}  // namespace
+
+/// 256 subjects act per chronon.
+const Workload kReplicaCatchup = {
+    "replica_catchup", static_cast<Chronon>(kBatches * kBatchEvents / 256) + 64,
+    &ReplicaCatchupPhase};
 
 }  // namespace perfbench

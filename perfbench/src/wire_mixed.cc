@@ -2,8 +2,8 @@
 // wire_mixed: an in-process ServiceServer over a durable 2-shard
 // runtime, driven open-loop by RunLoad on a seeded Poisson schedule —
 // ingest frames on two ingest connections and point WHERE WAS queries
-// on their own connections to the same server. Six fixed-rate windows
-// give the latency metrics; two climbs of a rate ladder, interleaved
+// on their own connections to the same server. Nine fixed-rate windows
+// give the latency metrics; three climbs of a rate ladder, interleaved
 // with them, give the knee. No checkpoint or replication call is made
 // after set-up.
 
@@ -203,30 +203,22 @@ class WireMixed {
   Report* report_;
 };
 
-}  // namespace
-
-int RunWireMixed(const Args& args, Tracer& tracer, Report& report) {
-  std::unique_ptr<ltam::MetricsRegistry> metrics;
-  if (args.trace) metrics = std::make_unique<ltam::MetricsRegistry>();
-  WorldOptions wo;
-  wo.span = 16384;
-  Setup setup =
-      RunSetup(wo, args.world_seed, args.workdir, metrics.get(), &tracer, 5);
-  const std::string dir = setup.dir;
-  World& world = setup.world;
-  EventStream stream(&world, args.schedule_seed);
-  Oracle oracle(world);
-  PrologueResult prologue =
-      RunPrologue(world, std::move(setup.runtime), dir, args.workdir, &stream,
-                  &oracle, metrics.get(), &tracer, &report);
-  std::unique_ptr<AccessRuntime> rt = std::move(prologue.runtime);
+int WireMixedPhase(Context& ctx, EndToEnd* e2e) {
+  const Args& args = ctx.args;
+  Tracer& tracer = ctx.tracer;
+  Report& report = ctx.report;
+  ltam::MetricsRegistry* metrics = ctx.metrics;
+  World& world = ctx.world;
+  EventStream& stream = *ctx.stream;
+  Oracle& oracle = *ctx.oracle;
+  AccessRuntime* rt = ctx.runtime.get();
   const size_t prologue_events = oracle.events();
 
   ltam::ServerOptions so;
   so.io_threads = 1;
   so.read_workers = 1;
-  so.metrics = metrics.get();
-  ltam::ServiceServer server(rt.get(), so);
+  so.metrics = metrics;
+  ltam::ServiceServer server(rt, so);
   {
     auto span = tracer.Span("service.start");
     if (!server.Start().ok()) {
@@ -241,25 +233,22 @@ int RunWireMixed(const Args& args, Tracer& tracer, Report& report) {
   std::vector<double> knees;
   // Server stage histograms of the fixed-rate windows only.
   std::map<std::string, ltam::LatencyHistogram> fixed_hist;
-  {
-    auto main_span = tracer.Span("bench.main");
-    // Warm-up: server buffers, caches and the first connections;
-    // discarded.
-    wm.RunStage(port, kFixedRate, 0.02 * args.seconds);
-    // Fixed-rate windows alternate with ladder climbs, so a stretch of
-    // host noise lands on few windows; each latency metric is the median
-    // of the windows' values.
-    for (int l = 0; l < kLadders; ++l) {
-      for (int w = 0; w < kFixedWindows / kLadders; ++w) {
-        const ltam::MetricsSnapshot before =
-            metrics != nullptr ? metrics->Snapshot() : ltam::MetricsSnapshot();
-        windows.push_back(wm.RunStage(port, kFixedRate, 0.04 * args.seconds));
-        if (metrics != nullptr) {
-          AddDelta(metrics->Snapshot(), before, &fixed_hist);
-        }
+  // Warm-up: server buffers, caches and the first connections;
+  // discarded.
+  wm.RunStage(port, kFixedRate, 0.02 * args.seconds);
+  // Fixed-rate windows alternate with ladder climbs, so a stretch of
+  // host noise lands on few windows; each latency metric is the median
+  // of the windows' values.
+  for (int l = 0; l < kLadders; ++l) {
+    for (int w = 0; w < kFixedWindows / kLadders; ++w) {
+      const ltam::MetricsSnapshot before =
+          metrics != nullptr ? metrics->Snapshot() : ltam::MetricsSnapshot();
+      windows.push_back(wm.RunStage(port, kFixedRate, 0.04 * args.seconds));
+      if (metrics != nullptr) {
+        AddDelta(metrics->Snapshot(), before, &fixed_hist);
       }
-      knees.push_back(wm.Ladder(port, 0.02 * args.seconds));
     }
+    knees.push_back(wm.Ladder(port, 0.02 * args.seconds));
   }
   const ltam::CoalescerStats coalescer = server.coalescer_stats();
   {
@@ -307,32 +296,22 @@ int RunWireMixed(const Args& args, Tracer& tracer, Report& report) {
   using LR = ltam::LoadReport;
   const double ingest_p50_ms =
       window_median([](const LR& r) { return r.ingest_latency.p50(); }) * ms;
-  const double ingest_p99_ms =
+  e2e->ingest_p50_ms = ingest_p50_ms;
+  e2e->ingest_p99_ms =
       window_median([](const LR& r) { return r.ingest_latency.p99(); }) * ms;
-  const double query_p50_ms =
+  e2e->max_rate_eps = Median(knees);
+  e2e->query_p50_ms =
       window_median([](const LR& r) { return r.query_latency.p50(); }) * ms;
-  report.Metric("setup_s", Median(setup.total_s), "s");
-  report.Metric("ingest_p50_ms", ingest_p50_ms, "ms");
-  report.Metric("ingest_p99_ms", ingest_p99_ms, "ms");
-  report.Metric("max_rate_eps", Median(knees), "ev/s");
-  report.Metric("query_p50_ms", query_p50_ms, "ms");
   // A window holds a few hundred queries, too few for a p99 of its own:
   // the query p99 pools every fixed-rate window.
   ltam::LatencyHistogram queries;
   for (const Stage& w : windows) queries.Merge(w.load.query_latency);
-  report.Metric("query_p99_ms", static_cast<double>(queries.p99()) * ms, "ms");
-  report.Metric(
-      "ingest_eps",
-      window_median([](const LR& r) { return r.achieved_event_rate; }),
-      "ev/s");
-  report.Metric("checkpoint_p50_ms", Median(prologue.checkpoint_ms), "ms");
-  report.Metric("recovery_s", Median(prologue.recovery_s), "s");
-  report.Metric("catchup_s", Median(prologue.catchup_s), "s");
-  report.Metric("disk_bytes_per_event",
-                static_cast<double>(DirBytes(dir)) /
-                    static_cast<double>(std::max<size_t>(1, oracle.events())),
-                "B");
-  report.Metric("peak_rss_mb", PeakRssMb(), "MB");
+  e2e->query_p99_ms = static_cast<double>(queries.p99()) * ms;
+  e2e->ingest_eps =
+      window_median([](const LR& r) { return r.achieved_event_rate; });
+  e2e->disk_bytes_per_event =
+      static_cast<double>(DirBytes(ctx.dir)) /
+      static_cast<double>(std::max<size_t>(1, oracle.events()));
 
   if (metrics != nullptr) {
     auto p50_us = [&fixed_hist](const char* name, double q = 0.5) {
@@ -349,8 +328,6 @@ int RunWireMixed(const Args& args, Tracer& tracer, Report& report) {
                   ingest_p50_ms * 1e3 - p50_us("ingest.e2e"), "us");
     report.Metric("service.e2e_p99_us", p50_us("ingest.e2e", 0.99), "us");
     report.Metric("service.query_run_p50_us", p50_us("query.run"), "us");
-    report.Metric("storage.wal_sync_p50_us",
-                  HistUs(*metrics, "wal.sync"), "us");
   }
   report.Metric("service.frames_per_merge",
                 coalescer.merged_batches == 0
@@ -365,9 +342,11 @@ int RunWireMixed(const Args& args, Tracer& tracer, Report& report) {
   report.Metric("loadgen.late_sends",
                 window_median([](const LR& r) { return r.late_sends; }),
                 "count");
-  report.Metric("setup.world_s", Median(setup.world_s), "s");
-  report.Metric("setup.open_s", Median(setup.open_s), "s");
   return 0;
 }
+
+}  // namespace
+
+const Workload kWireMixed = {"wire_mixed", 16384, &WireMixedPhase};
 
 }  // namespace perfbench

@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Steadiness check for the LTAM runtime benchmark.
 
-Runs every workload repeatedly through perfbench/run.py, alternating
-the workload order between rounds and giving every run its own seed,
-then prints, for each workload and end-to-end metric, the median, the
-quartiles, and the spread (third minus first quartile over the median)
-next to the metric's bound in BENCHMARK.json. The bounds in
-BENCHMARK.json were set from this output.
+Runs every workload of BENCHMARK.json repeatedly through
+perfbench/run.py, alternating the workload order between rounds, with
+seed r + 1 in round r, then prints, for each workload and end-to-end
+metric, the median, the quartiles, and the spread (third minus first
+quartile over the median) next to the metric's bound in BENCHMARK.json.
+The bounds in BENCHMARK.json were set from this output.
 
     python3 perfbench/steady.py --runs 10
-    python3 perfbench/steady.py --runs 5 --workloads wire_mixed
     python3 perfbench/steady.py --runs 3 --trace-overhead
 
 --trace-overhead additionally makes one traced run per round and
@@ -51,25 +50,20 @@ def summary(values):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1, help="first seed")
-    parser.add_argument("--workloads", default="")
     parser.add_argument("--trace-overhead", action="store_true")
-    parser.add_argument("--save", help="also write every run's result to this JSON file")
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     workloads = [w["name"] for w in bench["workloads"]]
-    if args.workloads:
-        workloads = args.workloads.split(",")
 
     results = {w: [] for w in workloads}
     traced = {w: [] for w in workloads}
     for r in range(args.runs):
         order = workloads if r % 2 == 0 else list(reversed(workloads))
         for w in order:
-            seed = args.seed + r
+            seed = r + 1
             result, _ = run(w, seed, bench["run_seconds"], 0)
             results[w].append(result)
             print("round %d %s seed %d: correct=%s attempted=%d failed=%d" % (
@@ -78,10 +72,6 @@ def main():
             if args.trace_overhead:
                 _, t = run(w, seed, bench["run_seconds"], 1)
                 traced[w].append(t)
-
-    if args.save:
-        with open(args.save, "w") as f:
-            json.dump({"untraced": results, "traced": traced}, f)
 
     worst = 0.0
     for w in workloads:
@@ -94,15 +84,14 @@ def main():
         for name, bound in bounds.items():
             values = [r["metrics"][name]["value"] for r in runs]
             median, q1, q3, spread = summary(values)
-            if name != "setup_s":
-                worst = max(worst, spread / bound)
+            worst = max(worst, spread / bound)
             line = "  %-22s %14.6g %14.6g %14.6g %8.4f %6.3f %6.2f" % (
                 name, median, q1, q3, spread, bound, spread / bound)
             if args.trace_overhead and traced[w] and traced[w][0]:
                 t = statistics.median(x["metrics"][name]["value"] for x in traced[w])
                 line += "   traced %.6g (%+.1f%%)" % (t, 100 * (t - median) / median)
             print(line)
-    print("\nlargest spread/bound (setup_s excluded): %.2f" % worst)
+    print("\nlargest spread/bound: %.2f" % worst)
 
 
 if __name__ == "__main__":
