@@ -40,6 +40,13 @@ double Quantile(std::vector<double> values, double q) {
   return values[lo] + (values[hi] - values[lo]) * (rank - std::floor(rank));
 }
 
+double Mean(const std::vector<double>& values) {
+  if (values.empty()) return 0;
+  double sum = 0;
+  for (double v : values) sum += v;
+  return sum / static_cast<double>(values.size());
+}
+
 int Cycles(double seconds, double cycle_seconds) {
   return std::max(1, static_cast<int>(seconds / cycle_seconds + 0.5));
 }
@@ -114,12 +121,14 @@ Tracer::Scope::~Scope() {
 }
 
 std::map<std::string, uint64_t> Tracer::CallCounts(
-    const std::string& under) const {
+    const std::string& under, const std::string& except) const {
   std::map<std::string, uint64_t> out;
   for (const Record& r : spans_) {
     for (int64_t p = r.parent; p >= 0;
          p = spans_[static_cast<size_t>(p)].parent) {
-      if (under == spans_[static_cast<size_t>(p)].name) {
+      const char* name = spans_[static_cast<size_t>(p)].name;
+      if (except == name) break;
+      if (under == name) {
         ++out[r.name];
         break;
       }
@@ -452,6 +461,18 @@ double PeakRssMb() {
   return 0;
 }
 
+IoBytes ProcessIo() {
+  std::ifstream io("/proc/self/io");
+  IoBytes out;
+  std::string key;
+  uint64_t value = 0;
+  while (io >> key >> value) {
+    if (key == "rchar:") out.read = value;
+    if (key == "wchar:") out.written = value;
+  }
+  return out;
+}
+
 std::vector<Result<QueryResult>> RunSweep(
     const AccessRuntime& rt, const std::vector<std::string>& statements) {
   std::unique_ptr<ltam::QueryInterpreter> q = MakeInterpreter(rt);
@@ -522,6 +543,7 @@ CatchupResult CatchUpReplica(const World& world, AccessRuntime* primary,
   if (!target.ok()) return out;
   bool ok = true;
   const Clock::time_point start = Clock::now();
+  const IoBytes io_start = ProcessIo();
   for (uint32_t k = 0; k < target->size() && ok; ++k) {
     uint64_t from = 0;
     std::vector<double> shard_reads;
@@ -568,6 +590,8 @@ CatchupResult CatchUpReplica(const World& world, AccessRuntime* primary,
     ok = ok && durable;
   }
   out.seconds = SecondsSince(start);
+  out.read_bytes =
+      static_cast<double>(ProcessIo().read - io_start.read);
   out.ok = ok;
   return out;
 }
@@ -576,95 +600,115 @@ namespace {
 
 /// Set-ups per run; `setup_s` is their median.
 constexpr int kSetups = 15;
-/// Catch-ups, checkpoints and reopens of the boot prologue, each.
-constexpr int kPrologueRepeats = 15;
-/// The prologue's history (batches of 512 events) and the slice size
-/// its catch-ups read: one slice holds a shard's whole history.
-constexpr int kPrologueBatches = 48;
-constexpr size_t kPrologueSlice = 16384;
+/// The probe's history (batches of 512 events) and the slice size its
+/// catch-ups read: one slice holds a shard's whole history.
+constexpr int kProbeBatches = 48;
+constexpr size_t kProbeSlice = 16384;
 
-struct Prologue {
-  std::vector<double> catchup_s, checkpoint_ms, recovery_s;
-};
+}  // namespace
 
-/// The boot prologue on the set-up runtime `ctx->runtime`: preload a
-/// short history; catch fresh replicas up from it (one slice per
-/// shard), checkpoint, close and reopen, each kPrologueRepeats times.
-/// Leaves the runtime reopened last in `ctx->runtime` (null when no
-/// reopen succeeded).
-Prologue RunPrologue(Context* ctx) {
+Probe::Probe(Context* ctx, unsigned ops) : ctx_(ctx), ops_(ops) {
+  const World& world = ctx->world;
   Tracer* tracer = &ctx->tracer;
   Report* report = &ctx->report;
-  const World& world = ctx->world;
-  auto prologue_span = tracer->Span("bench.prologue");
-  Prologue out;
   // A short history: 48 batches of 512 events, about 12k records per
-  // shard. Each catch-up ships it in one slice per shard, so the
-  // figure has no rescan cost (ROADMAP item 5 shows in replica_catchup
-  // only), and is long enough that the replica's final fsync is a small
-  // share of it.
+  // shard. Each catch-up ships it in one slice per shard, so the figure
+  // has no rescan cost (ROADMAP item 5 shows in replica_catchup only),
+  // and is long enough that the replica's final fsync is a small share
+  // of it.
+  EventStream stream(&world, ctx->args.schedule_seed ^ 0x9b0be);
+  Oracle oracle(world);
   std::vector<std::vector<AccessEvent>> batches;
   std::vector<std::vector<Decision>> decisions;
-  for (int b = 0; b < kPrologueBatches; ++b) {
-    batches.push_back(ctx->stream->Next(512));
-    decisions.push_back(ctx->oracle->Apply(batches.back()));
+  for (int b = 0; b < kProbeBatches; ++b) {
+    batches.push_back(stream.Next(512));
+    decisions.push_back(oracle.Apply(batches.back()));
   }
-  IngestChunk(ctx->runtime.get(), world, batches, decisions, 0, batches.size(),
-              1, nullptr, nullptr, tracer, report);
-  const Chronon now = ctx->stream->now();
+  const Chronon now = stream.now();
   ltam::Rng rng(now * 31 + 5);
   auto at = [&] { return std::to_string(rng.UniformRange(1, now)); };
-  std::vector<std::string> sweep;
   for (int i = 0; i < 48; ++i) {
     const SubjectId s = world.subjects[rng.Uniform(world.subjects.size())];
-    sweep.push_back("WHERE WAS " + world.SubjectName(s) + " AT " + at());
+    sweep_.push_back("WHERE WAS " + world.SubjectName(s) + " AT " + at());
   }
   for (int i = 0; i < 8; ++i) {
     const LocationId l = world.rooms[rng.Uniform(world.rooms.size())];
-    sweep.push_back("OCCUPANTS OF " + world.RoomName(l) + " AT " + at());
+    sweep_.push_back("OCCUPANTS OF " + world.RoomName(l) + " AT " + at());
   }
-  std::vector<Result<QueryResult>> reference;
-  for (const std::string& s : sweep) reference.push_back(ctx->oracle->Query(s));
-  CheckSweep(RunSweep(*ctx->runtime, sweep), reference,
-             "prologue primary vs oracle", report);
+  for (const std::string& s : sweep_) reference_.push_back(oracle.Query(s));
 
-  for (int i = 0; i < kPrologueRepeats; ++i) {
-    CatchupResult c =
-        CatchUpReplica(world, ctx->runtime.get(), ctx->args.workdir,
-                       kPrologueSlice, tracer, report);
-    out.catchup_s.push_back(c.seconds);
-    if (c.replica != nullptr) {
-      CheckSweep(RunSweep(*c.replica, sweep), reference,
-                 "prologue replica vs oracle", report);
-    }
+  // Opens a runtime in a new directory, ingests the history and checks
+  // its answers; null when it cannot be opened.
+  auto open = [&](const char* stem, std::string* dir) {
+    *dir = NewDir(ctx->args.workdir, stem);
+    std::unique_ptr<AccessRuntime> rt =
+        OpenRuntime(world, DurableOptions(world, *dir, nullptr));
+    report->Check(rt != nullptr, std::string("open probe ") + stem);
+    if (rt == nullptr) return rt;
+    IngestChunk(rt.get(), world, batches, decisions, 0, batches.size(), 1,
+                nullptr, nullptr, tracer, report);
+    CheckSweep(RunSweep(*rt, sweep_), reference_, "probe vs oracle", report);
+    return rt;
+  };
+  ok_ = true;
+  if (ops_ & kProbeCatchup) {
+    std::string source_dir;
+    source_ = open("source", &source_dir);
+    ok_ = ok_ && source_ != nullptr;
   }
-  for (int i = 0; i < kPrologueRepeats; ++i) {
-    const Clock::time_point t0 = Clock::now();
-    Status st = [&] {
-      auto span = tracer->Span("storage.checkpoint");
-      return ctx->runtime->Checkpoint();
-    }();
-    out.checkpoint_ms.push_back(SecondsSince(t0) * 1e3);
-    report->Check(st.ok(), "prologue Checkpoint");
+  if (ops_ & (kProbeCheckpoint | kProbeReopen)) {
+    runtime_ = open("probe", &dir_);
+    ok_ = ok_ && runtime_ != nullptr;
   }
-  for (int i = 0; i < kPrologueRepeats; ++i) {
-    ctx->runtime.reset();
-    const Clock::time_point t0 = Clock::now();
-    {
-      auto span = tracer->Span("storage.recover");
-      ctx->runtime = OpenRuntime(
-          world, DurableOptions(world, ctx->dir, ctx->metrics));
-    }
-    out.recovery_s.push_back(SecondsSince(t0));
-    report->Check(ctx->runtime != nullptr, "prologue reopen");
-    if (ctx->runtime == nullptr) continue;
-    CheckSweep(RunSweep(*ctx->runtime, sweep), reference,
-               "prologue reopened vs oracle", report);
-  }
-  return out;
 }
 
-}  // namespace
+void Probe::Round() {
+  if (!ok_) return;
+  const World& world = ctx_->world;
+  Tracer* tracer = &ctx_->tracer;
+  Report* report = &ctx_->report;
+  auto round_span = tracer->Span("bench.probe");
+  if (ops_ & kProbeCatchup) {
+    CatchupResult c = CatchUpReplica(world, source_.get(), ctx_->args.workdir,
+                                     kProbeSlice, tracer, report);
+    catchup_s.push_back(c.seconds);
+    catchup_read_bytes.push_back(c.read_bytes);
+    if (c.replica != nullptr) {
+      CheckSweep(RunSweep(*c.replica, sweep_), reference_,
+                 "probe replica vs oracle", report);
+    }
+  }
+  if (runtime_ == nullptr) return;
+  if (ops_ & kProbeCheckpoint) {
+    const Clock::time_point t0 = Clock::now();
+    const IoBytes io0 = ProcessIo();
+    const Status st = [&] {
+      auto span = tracer->Span("storage.checkpoint");
+      return runtime_->Checkpoint();
+    }();
+    checkpoint_ms.push_back(SecondsSince(t0) * 1e3);
+    checkpoint_write_bytes.push_back(
+        static_cast<double>(ProcessIo().written - io0.written));
+    report->Check(st.ok(), "probe Checkpoint");
+  }
+  if (ops_ & kProbeReopen) {
+    runtime_.reset();
+    const Clock::time_point t0 = Clock::now();
+    const IoBytes io0 = ProcessIo();
+    {
+      auto span = tracer->Span("storage.recover");
+      runtime_ = OpenRuntime(world, DurableOptions(world, dir_, nullptr));
+    }
+    recovery_s.push_back(SecondsSince(t0));
+    recovery_read_bytes.push_back(
+        static_cast<double>(ProcessIo().read - io0.read));
+    report->Check(runtime_ != nullptr, "probe reopen");
+    if (runtime_ != nullptr) {
+      CheckSweep(RunSweep(*runtime_, sweep_), reference_,
+                 "probe reopened vs oracle", report);
+    }
+  }
+}
 
 Context::Context(const Args& a, Tracer& t, Report& r,
                  ltam::MetricsRegistry* m)
@@ -701,11 +745,11 @@ int RunWorkload(const Args& args, const Workload& workload, Tracer& tracer,
     if (ctx.runtime == nullptr) return 1;
   }
 
-  ctx.stream =
-      std::make_unique<EventStream>(&ctx.world, args.schedule_seed ^ 0x5eed);
-  ctx.oracle = std::make_unique<Oracle>(ctx.world);
-  const Prologue prologue = RunPrologue(&ctx);
-  if (ctx.runtime == nullptr) return 1;
+  {
+    auto span = tracer.Span("bench.probe_setup");
+    ctx.probe = std::make_unique<Probe>(&ctx, workload.probe_ops);
+  }
+  if (!ctx.probe->ok()) return 1;
 
   EndToEnd e2e;
   {
@@ -714,9 +758,12 @@ int RunWorkload(const Args& args, const Workload& workload, Tracer& tracer,
     if (rc != 0) return rc;
   }
 
-  auto own_or_prologue = [](const std::vector<double>& own,
-                            const std::vector<double>& fallback) {
-    return Median(own.empty() ? fallback : own);
+  // A figure the phase does not measure itself is the mean of the probe
+  // rounds'.
+  const Probe& probe = *ctx.probe;
+  auto own_or_probe = [&workload](ProbeOp op, double own,
+                                  const std::vector<double>& samples) {
+    return (workload.probe_ops & op) != 0 ? Mean(samples) : own;
   };
   report.Metric("setup_s", Median(setup_s), "s");
   report.Metric("ingest_p50_ms", e2e.ingest_p50_ms, "ms");
@@ -725,13 +772,28 @@ int RunWorkload(const Args& args, const Workload& workload, Tracer& tracer,
   report.Metric("query_p50_ms", e2e.query_p50_ms, "ms");
   report.Metric("query_p99_ms", e2e.query_p99_ms, "ms");
   report.Metric("ingest_eps", e2e.ingest_eps, "ev/s");
-  report.Metric("checkpoint_p50_ms",
-                own_or_prologue(e2e.checkpoint_ms, prologue.checkpoint_ms),
+  report.Metric("checkpoint_mean_ms",
+                own_or_probe(kProbeCheckpoint, e2e.checkpoint_ms,
+                             probe.checkpoint_ms),
                 "ms");
   report.Metric("recovery_s",
-                own_or_prologue(e2e.recovery_s, prologue.recovery_s), "s");
+                own_or_probe(kProbeReopen, e2e.recovery_s, probe.recovery_s),
+                "s");
   report.Metric("catchup_s",
-                own_or_prologue(e2e.catchup_s, prologue.catchup_s), "s");
+                own_or_probe(kProbeCatchup, e2e.catchup_s, probe.catchup_s),
+                "s");
+  report.Metric("checkpoint_write_bytes",
+                own_or_probe(kProbeCheckpoint, e2e.checkpoint_write_bytes,
+                             probe.checkpoint_write_bytes),
+                "B");
+  report.Metric("recovery_read_bytes",
+                own_or_probe(kProbeReopen, e2e.recovery_read_bytes,
+                             probe.recovery_read_bytes),
+                "B");
+  report.Metric("catchup_read_bytes",
+                own_or_probe(kProbeCatchup, e2e.catchup_read_bytes,
+                             probe.catchup_read_bytes),
+                "B");
   report.Metric("disk_bytes_per_event", e2e.disk_bytes_per_event, "B");
   report.Metric("peak_rss_mb", PeakRssMb(), "MB");
 
@@ -747,7 +809,8 @@ int RunWorkload(const Args& args, const Workload& workload, Tracer& tracer,
 }
 
 void ReportCallCounts(const Tracer& tracer, Report* report) {
-  const std::map<std::string, uint64_t> calls = tracer.CallCounts("bench.main");
+  const std::map<std::string, uint64_t> calls =
+      tracer.CallCounts("bench.main", "bench.probe");
   auto count = [&calls](const char* prefix) {
     uint64_t n = 0;
     for (const auto& [name, c] : calls) {

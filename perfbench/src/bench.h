@@ -2,7 +2,8 @@
 // Shared pieces of the LTAM runtime benchmark (perfbench/README.md):
 // the generated world and event streams, the sequential oracle, the
 // independent property checks, the in-memory span tracer, the metric
-// report, and the boot prologue every workload runs after set-up.
+// report, and the probe rounds every workload interleaves with its own
+// phase.
 //
 // The benchmark drives the program only through its public surface
 // (AccessRuntime, QueryInterpreter, ServiceServer/ServiceClient,
@@ -43,6 +44,14 @@ double Quantile(std::vector<double> values, double q);
 inline double Median(const std::vector<double>& values) {
   return Quantile(values, 0.5);
 }
+
+/// Arithmetic mean; 0 for an empty sample. The per-operation timing
+/// metrics are means over operations spread across the run: on a shared
+/// host the contention comes and goes in phases of seconds, so an
+/// operation's times are bimodal and a median flips between the modes
+/// from run to run, while the mean moves only with the contended share
+/// (README "Steadiness and bounds").
+double Mean(const std::vector<double>& values);
 
 /// Whole cycles a run of `seconds` makes when one cycle takes about
 /// `cycle_seconds`: fixed by the arguments, never by elapsed time, so
@@ -133,8 +142,9 @@ class Tracer {
   uint64_t NextRequest() { return ++last_request_; }
 
   /// Calls per span name, counting only spans that have an ancestor
-  /// named `under`.
-  std::map<std::string, uint64_t> CallCounts(const std::string& under) const;
+  /// named `under` and no ancestor named `except` below it.
+  std::map<std::string, uint64_t> CallCounts(const std::string& under,
+                                             const std::string& except) const;
   /// Self time per layer (the part of "<layer>.*" spans not covered by
   /// their child spans), in seconds.
   std::map<std::string, double> LayerSelfSeconds() const;
@@ -302,6 +312,15 @@ std::map<std::string, std::pair<uint64_t, uint64_t>> ListFiles(
 uint64_t DirBytes(const std::string& dir);
 /// Peak resident set size of this process, MB.
 double PeakRssMb();
+/// Bytes this process has passed through read and write system calls so
+/// far (rchar and wchar of /proc/self/io), page-cache hits included: the
+/// I/O an operation asks of the storage layer, which repeats exactly for
+/// the same inputs whatever the host's speed.
+struct IoBytes {
+  uint64_t read = 0;
+  uint64_t written = 0;
+};
+IoBytes ProcessIo();
 
 /// Closed-loop ingest of batches [first, last) followed by WaitDurable.
 /// Each batch is one timed ApplyBatch checked against the oracle's
@@ -331,6 +350,7 @@ struct CatchupResult {
   std::vector<double> read_ms;   // Per slice.
   std::vector<double> apply_ms;  // Per chunk.
   double read_growth = 0;        // Max over shards: last read / first.
+  double read_bytes = 0;         // Bytes read while catching up.
   std::unique_ptr<AccessRuntime> replica;
 };
 CatchupResult CatchUpReplica(const World& world, AccessRuntime* primary,
@@ -341,8 +361,9 @@ CatchupResult CatchUpReplica(const World& world, AccessRuntime* primary,
 
 /// The figures every workload reports from its own phase (README
 /// "End-to-end metrics" and the ingest and query rows of "Per-layer
-/// metrics"). `checkpoint_ms`, `recovery_s` and `catchup_s` hold samples;
-/// when the phase leaves one empty, the boot prologue's samples are used.
+/// metrics"). The probe rounds give the checkpoint, recovery and
+/// catch-up figures where the workload names them in `probe_ops`. Each
+/// is a mean per operation.
 struct EndToEnd {
   double ingest_p50_ms = 0;
   double ingest_p99_ms = 0;
@@ -351,14 +372,61 @@ struct EndToEnd {
   double query_p99_ms = 0;
   double ingest_eps = 0;
   double disk_bytes_per_event = 0;
-  std::vector<double> checkpoint_ms, recovery_s, catchup_s;
+  double checkpoint_ms = 0;
+  double recovery_s = 0;
+  double catchup_s = 0;
+  double checkpoint_write_bytes = 0;
+  double recovery_read_bytes = 0;
+  double catchup_read_bytes = 0;
 };
 
-/// What a workload's own phase runs on: the world and set-up directory,
-/// the runtime the boot prologue reopened last (holding the prologue's
-/// history, written by `stream` and replayed through `oracle`), the
-/// registry of a traced run (null otherwise), the tracer and the report.
-/// `world` keeps its address: `stream` points into it.
+struct Context;
+
+/// The operations a probe round times (a bit set).
+enum ProbeOp : unsigned {
+  kProbeCatchup = 1,
+  kProbeCheckpoint = 2,
+  kProbeReopen = 4,
+};
+
+/// The probe: small durable runtimes of its own, each holding the same
+/// 24k-event history (from the probe's own stream, checked against its
+/// own oracle), on which a workload times the end-to-end operations its
+/// phase does not, in rounds spread over the phase, so each figure
+/// samples the whole run. Replicas catch up from the source runtime,
+/// which keeps its whole history in the WAL; the other runtime is
+/// checkpointed and reopened.
+class Probe {
+ public:
+  /// Opens the runtimes `ops` needs in new directories and ingests the
+  /// history into each.
+  Probe(Context* ctx, unsigned ops);
+  bool ok() const { return ok_; }
+  /// One round, in a "bench.probe" span, of the operations in `ops`, in
+  /// this order: a fresh replica catches up from the source (one slice
+  /// per shard) and answers the probe's sweep; the other runtime is
+  /// checkpointed; it is closed, reopened and answers the sweep.
+  void Round();
+
+  std::vector<double> catchup_s, checkpoint_ms, recovery_s;
+  std::vector<double> catchup_read_bytes, checkpoint_write_bytes,
+      recovery_read_bytes;
+
+ private:
+  Context* ctx_;
+  unsigned ops_;
+  bool ok_ = false;
+  std::string dir_;
+  std::unique_ptr<AccessRuntime> source_;
+  std::unique_ptr<AccessRuntime> runtime_;
+  std::vector<std::string> sweep_;
+  std::vector<ltam::Result<ltam::QueryResult>> reference_;
+};
+
+/// What a workload's own phase runs on: the world, the set-up directory
+/// and its empty runtime, the probe, the registry of a traced run (null
+/// otherwise), the tracer and the report. `world` keeps its address: the
+/// probe points into it.
 struct Context {
   Context(const Args& args, Tracer& tracer, Report& report,
           ltam::MetricsRegistry* metrics);
@@ -370,18 +438,20 @@ struct Context {
   ltam::MetricsRegistry* metrics;
   World world;
   std::string dir;
-  std::unique_ptr<EventStream> stream;
-  std::unique_ptr<Oracle> oracle;
   std::unique_ptr<AccessRuntime> runtime;
+  std::unique_ptr<Probe> probe;
 };
 
 /// A workload: its name, the authorization span of its world (fitted to
-/// the time its event stream covers) and its own phase, which fills
-/// `e2e`, reports its per-layer metrics and returns nonzero when it
-/// could not run at all.
+/// the time its event stream covers), the probe operations that give the
+/// end-to-end figures its phase does not measure, and its own phase,
+/// which fills the rest of `e2e`, calls `ctx.probe->Round()` at fixed
+/// points spread over its length, reports its per-layer metrics and
+/// returns nonzero when it could not run at all.
 struct Workload {
   const char* name;
   Chronon span;
+  unsigned probe_ops;
   int (*phase)(Context& ctx, EndToEnd* e2e);
 };
 extern const Workload kWireMixed;
@@ -389,16 +459,16 @@ extern const Workload kHistoryRetention;
 extern const Workload kReplicaCatchup;
 
 /// Runs one workload: set-up (world + Open of a fresh directory,
-/// repeated), the boot prologue on the set-up runtime (preload a short
-/// history; catch replicas up from it, checkpoint and reopen, each many
-/// times), then the workload's phase inside the "bench.main" span;
-/// reports every end-to-end metric and the shared per-layer ones.
+/// repeated), the probe's set-up, then the workload's phase inside the
+/// "bench.main" span; reports every end-to-end metric and the shared
+/// per-layer ones.
 int RunWorkload(const Args& args, const Workload& workload, Tracer& tracer,
                 Report& report);
 
-/// Per-layer call counts of the main phase (spans under "bench.main"),
-/// so the workload split is visible: checkpoint, replication and
-/// service calls made after set-up and the prologue.
+/// Per-layer call counts of the main phase (spans under "bench.main",
+/// leaving out the probe rounds), so the workload split is visible:
+/// checkpoint, replication and service calls the phase makes on its own
+/// runtimes.
 void ReportCallCounts(const Tracer& tracer, Report* report);
 
 /// Reports the layer self times derived from the spans.

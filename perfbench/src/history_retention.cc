@@ -1,11 +1,15 @@
 // Copyright 2026 The LTAM Authors.
 // history_retention: closed-loop ApplyBatch builds a long movement
 // history on a durable 2-shard runtime with retention on, checkpointing
-// every 64 chronons (each checkpoint seals, drops and compacts); then
-// rounds of a small dirtying batch + Checkpoint(), a historical query
-// sweep over the hot and cold tiers, and repeated reopens of the
-// directory. No service call is made. A cycle starts from a fresh
-// directory; a run makes a fixed number of whole cycles for --seconds.
+// every 64 chronons (each checkpoint seals, drops and compacts) and
+// closing and reopening the runtime after every fourth checkpoint, so
+// recovery is timed at eight history lengths; then rounds of a small
+// dirtying batch + Checkpoint(), a historical query sweep over the hot
+// and cold tiers, and reopens of the whole history. A probe round (a
+// replica catch-up, for catchup_s) follows every fourth build chunk, two
+// chunks after each reopen. No service call is made. A cycle starts from
+// a fresh directory; a run makes a fixed number of whole cycles for
+// --seconds.
 
 #include <algorithm>
 #include <cstdio>
@@ -31,7 +35,11 @@ constexpr size_t kMaxHotEvents = 2048;
 constexpr uint32_t kFanin = 8;
 constexpr Chronon kSealInterval = 64;
 constexpr Chronon kSlack = kFanin * kSealInterval;
-constexpr int kReopens = 8;
+/// Reopens of the whole history at the end of a cycle.
+constexpr int kReopens = 2;
+/// Build chunks between reopens, and between probe rounds: eight of
+/// each a cycle.
+constexpr size_t kReopenEvery = 4;
 /// Seconds of --seconds per cycle: a run makes seconds / kCycleSeconds
 /// whole cycles (README "Workloads").
 constexpr double kCycleSeconds = 10;
@@ -102,15 +110,23 @@ Inputs MakeInputs(const World& world, uint64_t seed) {
 /// Everything the cycles accumulate.
 struct Samples {
   std::vector<double> apply_ms, chunk_eps, sustained_eps, wait_ms;
-  std::vector<double> checkpoint_ms, checkpoint_bytes, base_bytes, dirty_segs;
+  // Every checkpoint, build and dirty.
+  std::vector<double> checkpoint_ms, checkpoint_write_bytes;
+  std::vector<double> checkpoint_bytes, base_bytes, dirty_segs;
   std::vector<double> query_ms, query_kind_us[4];
-  std::vector<double> recovery_s, recovery_bytes, disk_per_event;
+  // Every reopen, mid-build and final.
+  std::vector<double> recovery_s, recovery_read_bytes;
+  std::vector<double> recovery_bytes, disk_per_event;
   double retained_span = 0;
   ltam::RuntimeStats last_stats;
+  /// Compaction runs of the last cycle: the runtime counts them since
+  /// its Open, so the counts of the runtimes closed mid-build are added.
+  uint64_t compaction_runs = 0;
 };
 
-/// One checkpoint: timed, its written bytes measured from the directory,
-/// followed by the ordering check and the retention-horizon check.
+/// One checkpoint: timed and, when `sample`, its written bytes measured
+/// from the directory; followed by the ordering check and the
+/// retention-horizon check.
 void CheckpointAndCheck(AccessRuntime* rt, const World& world,
                         const std::string& dir, Chronon now, bool sample,
                         Samples* s, Tracer* tracer, Report* report,
@@ -118,13 +134,17 @@ void CheckpointAndCheck(AccessRuntime* rt, const World& world,
   const auto before = ListFiles(dir);
   const uint64_t dirty_before = rt->Stats().checkpoint_dirty_segments;
   const Clock::time_point t0 = Clock::now();
+  const IoBytes io0 = ProcessIo();
   const bool ok = [&] {
     auto span = tracer->Span("storage.checkpoint");
     return rt->Checkpoint().ok();
   }();
   const double elapsed = SecondsSince(t0);
+  s->checkpoint_write_bytes.push_back(
+      static_cast<double>(ProcessIo().written - io0.written));
   if (seconds != nullptr) *seconds = elapsed;
   report->Check(ok, "Checkpoint");
+  s->checkpoint_ms.push_back(elapsed * 1e3);
   if (sample) {
     uint64_t written = 0, base = 0;
     for (const auto& [name, info] : ListFiles(dir)) {
@@ -133,7 +153,6 @@ void CheckpointAndCheck(AccessRuntime* rt, const World& world,
       written += info.second;
       if (name.rfind("base-", 0) == 0) base += info.second;
     }
-    s->checkpoint_ms.push_back(elapsed * 1e3);
     s->checkpoint_bytes.push_back(static_cast<double>(written));
     s->base_bytes.push_back(static_cast<double>(base));
     const uint64_t dirty = rt->Stats().checkpoint_dirty_segments - dirty_before;
@@ -153,8 +172,8 @@ void CheckpointAndCheck(AccessRuntime* rt, const World& world,
 }
 
 void RunCycle(const World& world, const Inputs& in, const std::string& workdir,
-              ltam::MetricsRegistry* metrics, Samples* s, Tracer* tracer,
-              Report* report) {
+              ltam::MetricsRegistry* metrics, Probe* probe, Samples* s,
+              Tracer* tracer, Report* report) {
   auto cycle_span = tracer->Span("bench.cycle");
   const std::string dir = NewDir(workdir, "primary");
   ltam::RuntimeOptions options = DurableOptions(world, dir, metrics);
@@ -169,9 +188,27 @@ void RunCycle(const World& world, const Inputs& in, const std::string& workdir,
   if (rt == nullptr) return;
   report->Check(options.retention.compaction_fanin == kFanin,
                 "default compaction fan-in as documented");
+  // Closes `rt` and reopens the directory, timed.
+  uint64_t closed_compactions = 0;
+  auto reopen = [&] {
+    if (rt != nullptr) closed_compactions += rt->Stats().compaction_runs;
+    rt.reset();
+    const Clock::time_point t0 = Clock::now();
+    const IoBytes io0 = ProcessIo();
+    {
+      auto span = tracer->Span("storage.recover");
+      rt = OpenRuntime(world, options);
+    }
+    s->recovery_s.push_back(SecondsSince(t0));
+    s->recovery_read_bytes.push_back(
+        static_cast<double>(ProcessIo().read - io0.read));
+    report->Check(rt != nullptr, "reopen");
+  };
 
   // Build: chunks of kCheckpointEvery batches, each through WaitDurable,
-  // then the chunk's checkpoint (seal, drop, compact).
+  // then the chunk's checkpoint (seal, drop, compact). The chunks after
+  // a reopen run on the reopened runtime, so their decisions check the
+  // recovered state against the oracle.
   for (size_t c = 0; c < kBuildBatches / kCheckpointEvery; ++c) {
     const size_t first = c * kCheckpointEvery;
     const size_t last = first + kCheckpointEvery;
@@ -185,6 +222,11 @@ void RunCycle(const World& world, const Inputs& in, const std::string& workdir,
     CheckpointAndCheck(rt.get(), world, dir, in.build[last - 1].back().time,
                        false, s, tracer, report, &checkpoint_s);
     s->sustained_eps.push_back(chunk_events / (chunk_s + checkpoint_s));
+    if (c % kReopenEvery == 1) {
+      reopen();
+      if (rt == nullptr) return;
+    }
+    if (c % kReopenEvery == 3) probe->Round();
   }
   s->disk_per_event.push_back(
       static_cast<double>(DirBytes(dir)) /
@@ -203,6 +245,7 @@ void RunCycle(const World& world, const Inputs& in, const std::string& workdir,
                        tracer, report, nullptr);
   }
   s->last_stats = rt->Stats();
+  s->compaction_runs = closed_compactions + s->last_stats.compaction_runs;
 
   // Historical queries over the hot and cold tiers.
   std::vector<Result<QueryResult>> live;
@@ -226,16 +269,9 @@ void RunCycle(const World& world, const Inputs& in, const std::string& workdir,
 
   // Recovery: close and reopen the directory; the reopened runtime must
   // answer like the live one did.
-  rt.reset();
   for (int i = 0; i < kReopens; ++i) {
     s->recovery_bytes.push_back(static_cast<double>(DirBytes(dir)));
-    const Clock::time_point t0 = Clock::now();
-    {
-      auto span = tracer->Span("storage.recover");
-      rt = OpenRuntime(world, options);
-    }
-    s->recovery_s.push_back(SecondsSince(t0));
-    report->Check(rt != nullptr, "reopen");
+    reopen();
     if (rt == nullptr) continue;
     auto span = tracer->Span("bench.check");
     std::unique_ptr<ltam::QueryInterpreter> q = MakeInterpreter(*rt);
@@ -243,7 +279,6 @@ void RunCycle(const World& world, const Inputs& in, const std::string& workdir,
       report->Check(SameAnswer(q->Run(in.sweep[k]), live[k]),
                     "reopened answer matches the live runtime");
     }
-    rt.reset();
   }
 }
 
@@ -256,9 +291,10 @@ int HistoryRetentionPhase(Context& ctx, EndToEnd* e2e) {
     inputs = MakeInputs(world, ctx.args.schedule_seed);
   }
   Samples s;
-  for (int c = 0; c < Cycles(ctx.args.seconds, kCycleSeconds); ++c) {
-    RunCycle(world, inputs, ctx.args.workdir, ctx.metrics, &s, &ctx.tracer,
-             &ctx.report);
+  const int cycles_run = Cycles(ctx.args.seconds, kCycleSeconds);
+  for (int c = 0; c < cycles_run; ++c) {
+    RunCycle(world, inputs, ctx.args.workdir, ctx.metrics, ctx.probe.get(),
+             &s, &ctx.tracer, &ctx.report);
   }
 
   e2e->ingest_p50_ms = Median(s.apply_ms);
@@ -267,8 +303,10 @@ int HistoryRetentionPhase(Context& ctx, EndToEnd* e2e) {
   e2e->query_p50_ms = Median(s.query_ms);
   e2e->query_p99_ms = Quantile(s.query_ms, 0.99);
   e2e->ingest_eps = Median(s.chunk_eps);
-  e2e->checkpoint_ms = s.checkpoint_ms;
-  e2e->recovery_s = s.recovery_s;
+  e2e->checkpoint_ms = Mean(s.checkpoint_ms);
+  e2e->recovery_s = Mean(s.recovery_s);
+  e2e->checkpoint_write_bytes = Mean(s.checkpoint_write_bytes);
+  e2e->recovery_read_bytes = Mean(s.recovery_read_bytes);
   e2e->disk_bytes_per_event = Median(s.disk_per_event);
 
   Report& report = ctx.report;
@@ -287,7 +325,7 @@ int HistoryRetentionPhase(Context& ctx, EndToEnd* e2e) {
   report.Metric("retention.cold_segments_end",
                 static_cast<double>(s.last_stats.cold_segments), "count");
   report.Metric("retention.compaction_runs",
-                static_cast<double>(s.last_stats.compaction_runs), "count");
+                static_cast<double>(s.compaction_runs), "count");
   report.Metric("query.where_was_hot_p50_us", Median(s.query_kind_us[0]), "us");
   report.Metric("query.where_was_cold_p50_us",
                 Median(s.query_kind_us[1]), "us");
@@ -303,6 +341,6 @@ int HistoryRetentionPhase(Context& ctx, EndToEnd* e2e) {
 const Workload kHistoryRetention = {
     "history_retention",
     static_cast<Chronon>(kBuildBatches * kBatchEvents / 256) + 64,
-    &HistoryRetentionPhase};
+    kProbeCatchup, &HistoryRetentionPhase};
 
 }  // namespace perfbench

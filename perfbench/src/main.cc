@@ -8,7 +8,7 @@
 // Prints one JSON object as the last line of standard output:
 // {"correct", "attempted", "failed", "metrics"}. With --trace=0 the
 // metrics are the end-to-end ones; with --trace=1 the per-layer ones,
-// from a run that records spans (written to DIR/../traces/) and passes
+// from a run that records spans (written to DIR-traces/) and passes
 // a MetricsRegistry to the runtime and server. perfbench/run.py builds
 // this binary and is the command to use; see perfbench/README.md.
 
@@ -30,16 +30,23 @@ using MetricList = std::vector<std::pair<std::string, std::string>>;
 
 /// Every end-to-end metric, reported by every workload (README table).
 const MetricList kEndToEnd = {
-    {"setup_s", "s"},   {"checkpoint_p50_ms", "ms"},
-    {"recovery_s", "s"}, {"catchup_s", "s"},
-    {"disk_bytes_per_event", "B"}, {"peak_rss_mb", "MB"},
+    {"setup_s", "s"},
+    {"checkpoint_write_bytes", "B"},
+    {"recovery_read_bytes", "B"},
+    {"catchup_read_bytes", "B"},
+    {"disk_bytes_per_event", "B"},
+    {"peak_rss_mb", "MB"},
 };
 
 /// Every per-layer metric; a workload that does not exercise a layer
-/// reports it as 0. The ingest and query figures come first: they are
-/// measured like the end-to-end metrics but vary too much between runs
-/// on a shared host to carry a bound (README "Steadiness and bounds").
+/// reports it as 0. The operation times and the ingest and query figures
+/// come first: they are measured like the end-to-end metrics but vary too
+/// much between runs on a shared host to carry a bound (README
+/// "Steadiness and bounds").
 const MetricList kPerLayer = {
+    {"checkpoint_mean_ms", "ms"},
+    {"recovery_s", "s"},
+    {"catchup_s", "s"},
     {"ingest_p50_ms", "ms"},
     {"ingest_p99_ms", "ms"},
     {"max_rate_eps", "ev/s"},

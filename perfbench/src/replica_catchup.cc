@@ -4,9 +4,10 @@
 // fresh demoted replicas catch up by pulling ReadReplicationSlice
 // chunks of 2048 records (the LogShipper default) and calling
 // ApplyReplicated; then the primary is reopened several times, each
-// reopen replaying its whole WAL tail. No service call is made. A cycle
-// starts from a fresh directory; a run makes a fixed number of whole
-// cycles for --seconds.
+// reopen replaying its whole WAL tail. A probe round (a checkpoint, for
+// checkpoint_mean_ms) follows every ingest chunk. No service call is
+// made. A cycle starts from a fresh directory; a run makes a fixed
+// number of whole cycles for --seconds.
 
 #include <algorithm>
 #include <cstdio>
@@ -24,11 +25,11 @@ constexpr size_t kBatchEvents = 512;
 constexpr size_t kBatches = 512;  // 262,144 events, 1024 chronons.
 constexpr size_t kChunkBatches = 32;
 constexpr size_t kShipChunk = 2048;
-constexpr int kCatchups = 5;
-constexpr int kReopens = 5;
+constexpr int kCatchups = 6;
+constexpr int kReopens = 6;
 /// Seconds of --seconds per cycle: a run makes seconds / kCycleSeconds
 /// whole cycles (README "Workloads").
-constexpr double kCycleSeconds = 6;
+constexpr double kCycleSeconds = 10;
 
 struct Inputs {
   std::vector<std::vector<AccessEvent>> batches;
@@ -68,12 +69,13 @@ struct Samples {
   std::vector<double> apply_ms, chunk_eps, wait_ms, pair_eps;
   std::vector<double> catchup_s, read_ms, apply_chunk_ms, read_growth;
   std::vector<double> query_ms, recovery_s, disk_per_event;
+  std::vector<double> catchup_read_bytes, recovery_read_bytes;
   uint64_t shipped = 0;
 };
 
 void RunCycle(const World& world, const Inputs& in, const std::string& workdir,
-              ltam::MetricsRegistry* metrics, Samples* s, Tracer* tracer,
-              Report* report) {
+              ltam::MetricsRegistry* metrics, Probe* probe, Samples* s,
+              Tracer* tracer, Report* report) {
   auto cycle_span = tracer->Span("bench.cycle");
   const std::string dir = NewDir(workdir, "primary");
   const ltam::RuntimeOptions options = DurableOptions(world, dir, metrics);
@@ -94,6 +96,7 @@ void RunCycle(const World& world, const Inputs& in, const std::string& workdir,
     ingest_s += chunk_s;
     s->chunk_eps.push_back(static_cast<double>(kChunkBatches * kBatchEvents) /
                            chunk_s);
+    probe->Round();
   }
   s->disk_per_event.push_back(static_cast<double>(DirBytes(dir)) /
                               static_cast<double>(in.events));
@@ -116,6 +119,7 @@ void RunCycle(const World& world, const Inputs& in, const std::string& workdir,
         CatchUpReplica(world, rt.get(), workdir, kShipChunk, tracer, report);
     cycle_catchups.push_back(c.seconds);
     s->catchup_s.push_back(c.seconds);
+    s->catchup_read_bytes.push_back(c.read_bytes);
     s->read_ms.insert(s->read_ms.end(), c.read_ms.begin(), c.read_ms.end());
     s->apply_chunk_ms.insert(s->apply_chunk_ms.end(), c.apply_ms.begin(),
                              c.apply_ms.end());
@@ -146,11 +150,14 @@ void RunCycle(const World& world, const Inputs& in, const std::string& workdir,
   rt.reset();
   for (int i = 0; i < kReopens; ++i) {
     const Clock::time_point t0 = Clock::now();
+    const IoBytes io0 = ProcessIo();
     {
       auto span = tracer->Span("storage.recover");
       rt = OpenRuntime(world, options);
     }
     s->recovery_s.push_back(SecondsSince(t0));
+    s->recovery_read_bytes.push_back(
+        static_cast<double>(ProcessIo().read - io0.read));
     report->Check(rt != nullptr, "reopen");
     if (rt == nullptr) continue;
     auto span = tracer->Span("bench.check");
@@ -172,9 +179,10 @@ int ReplicaCatchupPhase(Context& ctx, EndToEnd* e2e) {
     inputs = MakeInputs(world, ctx.args.schedule_seed);
   }
   Samples s;
-  for (int c = 0; c < Cycles(ctx.args.seconds, kCycleSeconds); ++c) {
-    RunCycle(world, inputs, ctx.args.workdir, ctx.metrics, &s, &ctx.tracer,
-             &ctx.report);
+  const int cycles_run = Cycles(ctx.args.seconds, kCycleSeconds);
+  for (int c = 0; c < cycles_run; ++c) {
+    RunCycle(world, inputs, ctx.args.workdir, ctx.metrics, ctx.probe.get(),
+             &s, &ctx.tracer, &ctx.report);
   }
 
   e2e->ingest_p50_ms = Median(s.apply_ms);
@@ -183,8 +191,10 @@ int ReplicaCatchupPhase(Context& ctx, EndToEnd* e2e) {
   e2e->query_p50_ms = Median(s.query_ms);
   e2e->query_p99_ms = Quantile(s.query_ms, 0.99);
   e2e->ingest_eps = Median(s.chunk_eps);
-  e2e->recovery_s = s.recovery_s;
-  e2e->catchup_s = s.catchup_s;
+  e2e->recovery_s = Mean(s.recovery_s);
+  e2e->catchup_s = Mean(s.catchup_s);
+  e2e->catchup_read_bytes = Mean(s.catchup_read_bytes);
+  e2e->recovery_read_bytes = Mean(s.recovery_read_bytes);
   e2e->disk_bytes_per_event = Median(s.disk_per_event);
 
   Report& report = ctx.report;
@@ -209,6 +219,6 @@ int ReplicaCatchupPhase(Context& ctx, EndToEnd* e2e) {
 /// 256 subjects act per chronon.
 const Workload kReplicaCatchup = {
     "replica_catchup", static_cast<Chronon>(kBatches * kBatchEvents / 256) + 64,
-    &ReplicaCatchupPhase};
+    kProbeCheckpoint, &ReplicaCatchupPhase};
 
 }  // namespace perfbench
