@@ -424,56 +424,73 @@ BENCHMARK(BM_DurableBatchShardedInterval)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// --- Checkpoint latency: full rewrite vs incremental + tiered ---------------
+// --- Checkpoint and recovery cost: one variable per row ---------------------
 //
-// Arg: history length (events applied before the measured checkpoints).
-// Each timed iteration is exactly one Checkpoint() after one small
-// (untimed) dirtying batch, so the work a checkpoint SHOULD do is
-// constant across history lengths. The full variant dirties every
-// shard each round, so every snapshot is rewritten and checkpoint
-// latency grows linearly with history. The incremental variant dirties
-// a single shard with the cold tier enabled (max_hot_events bounds the
-// hot snapshot; sealed segments are immutable and never rewritten), so
-// the checkpoint rewrites one bounded snapshot plus the manifest and
-// its latency plateaus — the O(events since last checkpoint) claim.
+// Every row runs 4 shards with the cold tier on (max_hot_events 2048)
+// over an exit-heavy stream (sealing moves only COMPLETED stays cold, so
+// most stays must close for the hot tier to stay small), and each row
+// varies exactly one thing:
+//   BM_CheckpointDirtyShards/<d>  shards a timed checkpoint must rewrite
+//                                 (0, 1, 4) at a fixed 65,536-event
+//                                 history;
+//   BM_CheckpointHistory/<n>      history length (16k, 65k, 262k events)
+//                                 with one dirty shard;
+//   BM_RecoveryHistory/<n>        reopening the checkpointed directory
+//                                 at the same history lengths.
+// A timed checkpoint follows one small (untimed) batch touching one
+// subject on each of `d` shards, so a checkpoint that does only what
+// the batch dirtied stays flat in history, and a clean one writes
+// nothing but the manifest.
 
-void RunCheckpointBench(benchmark::State& state, bool incremental) {
-  const size_t history = static_cast<size_t>(state.range(0));
-  // Exit-heavy stream: sealing moves only COMPLETED stays cold, so the
-  // tiered variant needs most stays closed to keep its hot tier small.
-  BatchWorld w = MakeBatchWorld(2048, history, /*exit_fraction=*/0.5);
+constexpr size_t kFixedHistory = 65536;
+
+/// A durable 4-shard tiered runtime over `history` events, checkpointed.
+std::unique_ptr<AccessRuntime> OpenCheckpointWorld(const BatchWorld& w,
+                                                   const std::string& dir) {
   RuntimeOptions options;
   options.num_shards = 4;
   options.engine = QuietEngineOptions();
-  if (incremental) {
-    options.retention.max_hot_events = 2048;
-  }
-  std::string dir = MakeBenchDir();
+  options.retention.max_hot_events = 2048;
   options.durable_dir = dir;
-  auto rt = AccessRuntime::Open(InitStateOf(w), options).ValueOrDie();
+  return AccessRuntime::Open(InitStateOf(w), options).ValueOrDie();
+}
+
+void RunCheckpointBench(benchmark::State& state, size_t history,
+                        uint32_t dirty_shards) {
+  BatchWorld w = MakeBatchWorld(2048, history, /*exit_fraction=*/0.5);
+  std::string dir = MakeBenchDir();
+  auto rt = OpenCheckpointWorld(w, dir);
   for (const auto& batch : w.batches) {
     benchmark::DoNotOptimize(rt->ApplyBatch(batch));
   }
-  // Baseline epoch: the measured rounds start from a committed
-  // checkpoint (and, tiered, from a sealed cold tier), so each timed
-  // Checkpoint() pays only for what the dirtying batch touched.
+  // Baseline epoch: the measured rounds start from a committed, sealed
+  // cut, so each timed Checkpoint() pays only for what the dirtying
+  // batch touched.
   LTAM_CHECK(rt->Checkpoint().ok());
-
-  // Dirtying stream past every pre-applied per-subject clock. The full
-  // variant touches enough subjects to hit all 4 shards; the
-  // incremental variant touches exactly one.
-  const size_t touched = incremental ? 1 : 16;
+  // One subject on each of the first `dirty_shards` shards.
+  std::vector<SubjectId> touched;
+  std::vector<bool> covered(4, false);
+  for (SubjectId s : w.subjects) {
+    const uint32_t k = ShardedDecisionEngine::ShardOfSubject(s, 4);
+    if (touched.size() < dirty_shards && !covered[k]) {
+      covered[k] = true;
+      touched.push_back(s);
+    }
+  }
+  LTAM_CHECK(touched.size() == dirty_shards);
+  // Dirtying stream past every pre-applied per-subject clock.
   Chronon t = static_cast<Chronon>(history) * 8 + 1'000'000;
   for (auto _ : state) {
     state.PauseTiming();
     std::vector<AccessEvent> dirty;
-    for (size_t i = 0; i < touched; ++i) {
-      dirty.push_back(AccessEvent::Observe(t, w.subjects[i],
-                                           w.graph.Primitives()[0]));
+    for (SubjectId s : touched) {
+      dirty.push_back(AccessEvent::Observe(t, s, w.graph.Primitives()[0]));
     }
     ++t;
-    benchmark::DoNotOptimize(
-        rt->ApplyBatch(Span<const AccessEvent>(dirty.data(), dirty.size())));
+    if (!dirty.empty()) {
+      benchmark::DoNotOptimize(
+          rt->ApplyBatch(Span<const AccessEvent>(dirty.data(), dirty.size())));
+    }
     state.ResumeTiming();
     Status st = rt->Checkpoint();
     benchmark::DoNotOptimize(st);
@@ -482,24 +499,52 @@ void RunCheckpointBench(benchmark::State& state, bool incremental) {
     state.ResumeTiming();
   }
   state.counters["history_events"] = static_cast<double>(w.total_events);
+  state.counters["dirty_shards"] = static_cast<double>(dirty_shards);
   rt.reset();
   std::filesystem::remove_all(dir);
 }
 
-void BM_CheckpointFull(benchmark::State& state) {
-  RunCheckpointBench(state, /*incremental=*/false);
+void BM_CheckpointDirtyShards(benchmark::State& state) {
+  RunCheckpointBench(state, kFixedHistory,
+                     static_cast<uint32_t>(state.range(0)));
 }
-BENCHMARK(BM_CheckpointFull)
+BENCHMARK(BM_CheckpointDirtyShards)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_CheckpointHistory(benchmark::State& state) {
+  RunCheckpointBench(state, static_cast<size_t>(state.range(0)), 1);
+}
+BENCHMARK(BM_CheckpointHistory)
     ->Arg(16384)
     ->Arg(65536)
     ->Arg(262144)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-void BM_CheckpointIncremental(benchmark::State& state) {
-  RunCheckpointBench(state, /*incremental=*/true);
+void BM_RecoveryHistory(benchmark::State& state) {
+  BatchWorld w = MakeBatchWorld(2048, static_cast<size_t>(state.range(0)),
+                                /*exit_fraction=*/0.5);
+  std::string dir = MakeBenchDir();
+  auto rt = OpenCheckpointWorld(w, dir);
+  for (const auto& batch : w.batches) {
+    benchmark::DoNotOptimize(rt->ApplyBatch(batch));
+  }
+  LTAM_CHECK(rt->Checkpoint().ok());
+  for (auto _ : state) {
+    state.PauseTiming();
+    rt.reset();
+    state.ResumeTiming();
+    rt = OpenCheckpointWorld(w, dir);
+  }
+  state.counters["history_events"] = static_cast<double>(w.total_events);
+  rt.reset();
+  std::filesystem::remove_all(dir);
 }
-BENCHMARK(BM_CheckpointIncremental)
+BENCHMARK(BM_RecoveryHistory)
     ->Arg(16384)
     ->Arg(65536)
     ->Arg(262144)

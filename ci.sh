@@ -13,8 +13,9 @@
 #   ./ci.sh bench      # facade vs loopback-server throughput (io-thread
 #                      # matrix) -> BENCH_pr6.json,
 #                      # durable sync vs pipelined vs interval -> BENCH_pr5.json,
-#                      # checkpoint latency full-rewrite vs incremental+tiered
-#                      # -> BENCH_pr10.json; fails loudly if any expected
+#                      # checkpoint cost vs dirty shards and vs history,
+#                      # recovery time vs history (3 repetitions each)
+#                      # -> BENCH_pr13.json; fails loudly if any expected
 #                      # BENCH_pr<N>.json artifact is missing or empty
 #   ./ci.sh load       # open-loop tail latency: ltam_load vs a live
 #                      # ltam_serve per scenario family x arrival rate
@@ -30,7 +31,7 @@
 #                      # loopback bench rows (the telemetry tax). Ends
 #                      # with a soak pass against a retention-enabled
 #                      # durable server: cold tier must seal + compact
-#                      # and resident bytes must plateau -> BENCH_pr10.json
+#                      # and resident bytes must plateau -> BENCH_pr13.json
 #   ./ci.sh replication # primary + 2 replicas over real TCP: kill -9
 #                      # the primary mid-ingest, promote the freshest
 #                      # survivor, repoint the other, assert convergence
@@ -275,19 +276,19 @@ EOF
   rm -f BENCH_pr5_durable.json BENCH_pr5_service.json
   record_host_meta BENCH_pr5.json
   echo "bench: wrote $(pwd)/BENCH_pr5.json"
-  # PR 10: checkpoint latency, full rewrite vs incremental + tiered.
-  # Same dirtying work per timed checkpoint at every history length;
-  # the full variant dirties every shard (all snapshots rewritten, cost
-  # grows with history), the incremental variant dirties one shard with
-  # the cold tier bounding its hot snapshot (cost plateaus). The soak
-  # rows from `./ci.sh load` merge into the same artifact.
+  # Checkpoint and recovery cost, one variable per row: dirty shards
+  # {0,1,4} at a fixed history, history {16k,65k,262k} with one dirty
+  # shard, and recovery time at the same history lengths. Three
+  # repetitions give each row a median and a spread. The soak rows from
+  # `./ci.sh load` merge into the same artifact. (BENCH_pr10.json keeps
+  # the earlier full-vs-incremental pair as committed.)
   ./build/bench/bench_access_engine \
-    --benchmark_filter='BM_Checkpoint(Full|Incremental)' \
-    --benchmark_min_time=0.05 \
-    --benchmark_out=BENCH_pr10.json --benchmark_out_format=json
-  record_host_meta BENCH_pr10.json
-  echo "bench: wrote $(pwd)/BENCH_pr10.json"
-  require_bench_artifacts bench BENCH_pr5.json BENCH_pr6.json BENCH_pr10.json
+    --benchmark_filter='BM_Checkpoint(DirtyShards|History)|BM_RecoveryHistory' \
+    --benchmark_min_time=0.05 --benchmark_repetitions=3 \
+    --benchmark_out=BENCH_pr13.json --benchmark_out_format=json
+  record_host_meta BENCH_pr13.json
+  echo "bench: wrote $(pwd)/BENCH_pr13.json"
+  require_bench_artifacts bench BENCH_pr5.json BENCH_pr6.json BENCH_pr13.json
 }
 
 load() {
@@ -556,7 +557,7 @@ EOF
   }
   ./build/examples/ltam_load --port="$soak_port" --scenario=soak \
     --rate=4000 --duration-s=3 --connections=2 \
-    --checkpoint-every-frames=8 --json-out=BENCH_pr10_soak.json &
+    --checkpoint-every-frames=8 --json-out=BENCH_pr13_soak.json &
   local soak_load_pid=$!
   sleep 1.8
   local soak_mid
@@ -619,25 +620,25 @@ row = {"name": "SOAK_retention_metrics/rate:4000", "run_type": "iteration",
        "resident_bytes_mid": int(rss_mid),
        "resident_bytes_end": int(rss_end)}
 
-with open("BENCH_pr10_soak.json") as f:
+with open("BENCH_pr13_soak.json") as f:
     soak = json.load(f)
 soak["benchmarks"].append(row)
 try:
-    with open("BENCH_pr10.json") as f:
+    with open("BENCH_pr13.json") as f:
         doc = json.load(f)
     doc["benchmarks"].extend(soak["benchmarks"])
 except FileNotFoundError:
     doc = soak
-with open("BENCH_pr10.json", "w") as f:
+with open("BENCH_pr13.json", "w") as f:
     json.dump(doc, f, indent=1)
 print(f"load: soak plateau ok (rss mid={rss_mid/1e6:.0f}MB "
       f"end={rss_end/1e6:.0f}MB, compaction_runs="
       f"{int(end['ltam_compaction_runs'])})")
 EOF
-  rm -f BENCH_pr10_soak.json
-  record_host_meta BENCH_pr10.json
-  echo "load: wrote $(pwd)/BENCH_pr10.json (soak rows)"
-  require_bench_artifacts load BENCH_pr7.json BENCH_pr9.json BENCH_pr10.json
+  rm -f BENCH_pr13_soak.json
+  record_host_meta BENCH_pr13.json
+  echo "load: wrote $(pwd)/BENCH_pr13.json (soak rows)"
+  require_bench_artifacts load BENCH_pr7.json BENCH_pr9.json BENCH_pr13.json
 }
 
 replication() {

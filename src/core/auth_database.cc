@@ -148,6 +148,28 @@ Status AuthorizationDatabase::RecordEntry(AuthId id) {
   return Status::OK();
 }
 
+Status AuthorizationDatabase::RestoreEntriesUsed(AuthId id, SubjectId subject,
+                                                 int64_t used) {
+  if (!Exists(id)) {
+    return Status::ParseError("ledger names unknown authorization " +
+                              std::to_string(id));
+  }
+  AuthRecord& rec = records_[id];
+  if (rec.auth.subject() != subject) {
+    return Status::ParseError("ledger lists authorization " +
+                              std::to_string(id) + " under subject " +
+                              std::to_string(subject) +
+                              ", which it does not bind");
+  }
+  if (used < 0 || used > rec.auth.max_entries()) {
+    return Status::ParseError("ledger count " + std::to_string(used) +
+                              " for authorization " + std::to_string(id) +
+                              " is outside [0, max_entries]");
+  }
+  rec.entries_used = used;
+  return Status::OK();
+}
+
 const AuthRecord& AuthorizationDatabase::record(AuthId id) const {
   LTAM_CHECK(Exists(id)) << "authorization id " << id << " out of range";
   return records_[id];

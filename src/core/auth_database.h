@@ -98,6 +98,14 @@ class AuthorizationDatabase {
   /// (FailedPrecondition when the record is revoked or exhausted).
   Status RecordEntry(AuthId id);
 
+  /// Restores a persisted ledger count: sets `id`'s entries_used to
+  /// `used`. Refuses (ParseError) an unknown id, a record that does not
+  /// bind `subject`, or a count outside [0, max_entries]. Unlike
+  /// RecordEntry it also applies to revoked records, whose count is
+  /// kept for audit. Not a mutation in the version sense: the ledger is
+  /// not cached.
+  Status RestoreEntriesUsed(AuthId id, SubjectId subject, int64_t used);
+
   // --- Lookup --------------------------------------------------------------
 
   /// True iff `id` denotes an existing (possibly revoked) record.

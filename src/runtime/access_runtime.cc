@@ -745,7 +745,7 @@ Status AccessRuntime::Mutate(
     // Mutations are not write-ahead logged and are applied in place, so
     // even a failed callback may have mutated the stores — checkpoint
     // unconditionally to keep recovery equivalent to the live state.
-    Status checkpointed = backend_->Checkpoint();
+    Status checkpointed = TimedCheckpoint();
     if (!checkpointed.ok()) {
       return status.ok()
                  ? checkpointed.WithContext("checkpointing after a mutation")
@@ -761,6 +761,10 @@ Status AccessRuntime::Checkpoint() {
   if (in_mutate_) {
     return Status::FailedPrecondition("Checkpoint called inside Mutate");
   }
+  return TimedCheckpoint();
+}
+
+Status AccessRuntime::TimedCheckpoint() {
   const uint64_t t0 = checkpoint_histogram_ != nullptr ? MonotonicNowNs() : 0;
   Status status = backend_->Checkpoint();
   if (checkpoint_histogram_ != nullptr) {

@@ -299,9 +299,10 @@ class AccessRuntime {
   // Only the durable sharded backend replicates: the unit of shipping
   // is the per-shard WAL record stream, and the replication position in
   // shard k is the monotonic record count ShardWatermark(k) reports
-  // (retired generations + current log). Epoch semantics live in
-  // replication/epoch.h (promotion counter, persisted as REPL_EPOCH in
-  // the durable directory; fencing gates compare it).
+  // (the persisted log floor + the WAL chain replayed at Open + the
+  // current log), so positions survive checkpoints and reopens. Epoch
+  // semantics live in replication/epoch.h (promotion counter, persisted
+  // as REPL_EPOCH in the durable directory; fencing gates compare it).
 
   /// True when this runtime refuses writes and applies shipped records
   /// instead (DemoteToReplica).
@@ -419,6 +420,10 @@ class AccessRuntime {
   /// uninstrumented).
   Histogram* apply_histogram_ = nullptr;
   Histogram* checkpoint_histogram_ = nullptr;
+
+  /// The backend checkpoint, timed into runtime.checkpoint — explicit
+  /// Checkpoint() calls and the one after each Mutate() window alike.
+  Status TimedCheckpoint();
 };
 
 /// Renders stats as aligned "name: value" lines — the one rendering the

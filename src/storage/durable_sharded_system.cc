@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <map>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -60,12 +62,44 @@ Result<bool> SegmentEndsClean(const std::string& path) {
   return last == '\n';
 }
 
+/// Phase names of checkpoint.phase.* and recovery.phase.*, in the order
+/// the phases run; the enums index checkpoint_phase_ / recovery_phase_.
+constexpr const char* kCheckpointPhases[] = {
+    "flush", "maintain", "cold_persist", "base", "shards", "manifest", "sweep"};
+enum : size_t { kFlush, kMaintain, kColdPersist, kBase, kShards, kManifest,
+                kSweep };
+constexpr const char* kRecoveryPhases[] = {"manifest", "base", "shards",
+                                           "cold", "replay"};
+enum : size_t { kLoadManifest, kLoadBase, kLoadShards, kLoadCold, kReplay };
+
+/// The ledgers of the subjects on shard `k`, subject-ascending;
+/// subjects without a used entry are left out.
+std::vector<SubjectLedger> CollectShardLedgers(
+    const AuthorizationDatabase& db, const ShardedDecisionEngine& engine,
+    uint32_t k) {
+  std::map<SubjectId, SubjectLedger> by_subject;
+  for (AuthId id = 0; id < db.size(); ++id) {
+    const AuthRecord& rec = db.record(id);
+    if (rec.entries_used == 0) continue;
+    const SubjectId s = rec.auth.subject();
+    if (engine.ShardOf(s) != k) continue;
+    SubjectLedger& ledger = by_subject[s];
+    ledger.subject = s;
+    ledger.used.emplace_back(id, rec.entries_used);
+  }
+  std::vector<SubjectLedger> out;
+  out.reserve(by_subject.size());
+  for (auto& [s, ledger] : by_subject) out.push_back(std::move(ledger));
+  return out;
+}
+
 }  // namespace
 
 DurableShardedSystem::DurableShardedSystem(std::string dir,
                                            DurableShardedOptions options)
     : dir_(std::move(dir)), options_(options) {
-  if (MetricsRegistry* metrics = options_.durability.metrics) {
+  MetricsRegistry* metrics = options_.durability.metrics;
+  if (metrics != nullptr) {
     dirty_segments_counter_ = metrics->GetCounter("checkpoint.dirty_segments");
     compaction_runs_counter_ = metrics->GetCounter("compaction.runs");
     retention_dropped_counter_ =
@@ -73,6 +107,21 @@ DurableShardedSystem::DurableShardedSystem(std::string dir,
     cold_segments_gauge_ = metrics->GetGauge("storage.cold_segments");
     cold_bytes_gauge_ = metrics->GetGauge("storage.cold_bytes");
     resident_bytes_gauge_ = metrics->GetGauge("storage.resident_bytes");
+    base_rewrites_counter_ = metrics->GetCounter("checkpoint.base_rewrites");
+    recovery_duration_gauge_ = metrics->GetGauge("recovery.duration_ns");
+  }
+  // Null histograms (no registry) leave every PhaseClock inert.
+  for (const char* phase : kCheckpointPhases) {
+    checkpoint_phase_.push_back(
+        metrics == nullptr
+            ? nullptr
+            : metrics->GetHistogram(std::string("checkpoint.phase.") + phase));
+  }
+  for (const char* phase : kRecoveryPhases) {
+    recovery_phase_.push_back(
+        metrics == nullptr
+            ? nullptr
+            : metrics->GetHistogram(std::string("recovery.phase.") + phase));
   }
 }
 
@@ -150,6 +199,8 @@ void DurableShardedSystem::InitEngine(uint32_t num_shards) {
   cold_files_.assign(num_shards, {});
   next_cold_index_.assign(num_shards, 0);
   maintenance_dirty_.assign(num_shards, false);
+  log_floor_.assign(num_shards, 0);
+  replayed_records_.assign(num_shards, 0);
 }
 
 Status DurableShardedSystem::PartitionBaseMovements() {
@@ -265,6 +316,7 @@ Status DurableShardedSystem::ReplayShardLogs(const ShardManifest& manifest) {
     // in committed order.
     replayers.emplace_back([this, k, segments, &results] {
       AccessControlEngine& shard_engine = engine_->shard_engine(k);
+      uint64_t& replayed = replayed_records_[k];
       for (const std::string& segment : segments) {
         results[k] =
             ReplayWal(FilePath(segment), [&](const Record& rec) -> Status {
@@ -277,6 +329,7 @@ Status DurableShardedSystem::ReplayShardLogs(const ShardManifest& manifest) {
                     std::to_string(event.event.subject));
               }
               ApplyLoggedEvent(&shard_engine, event);
+              ++replayed;
               return Status::OK();
             });
         if (!results[k].ok()) return;
@@ -292,53 +345,78 @@ Status DurableShardedSystem::ReplayShardLogs(const ShardManifest& manifest) {
   return Status::OK();
 }
 
-Status DurableShardedSystem::WriteEpoch(uint64_t epoch) {
+Status DurableShardedSystem::WriteEpoch(uint64_t epoch, PhaseClock* clock) {
   const uint32_t n = engine_->num_shards();
-  ShardManifest m;
-  m.epoch = epoch;
-  m.num_shards = n;
-  m.base_snapshot = BaseSnapName(epoch);
-  LTAM_RETURN_IF_ERROR(SaveSnapshot(base_, FilePath(m.base_snapshot)));
-  LTAM_RETURN_IF_ERROR(SyncFile(FilePath(m.base_snapshot)));
-  // The previous cut's snapshot names, for the clean-shard
-  // short-circuit (copied under manifest_mu_; rotation threads own the
-  // live manifest). Epoch 0 — no previous cut — rewrites everything.
+  // The previous cut's file names, for the clean-file short-circuit
+  // (copied under manifest_mu_; rotation threads own the live manifest).
+  // Epoch 0 — no previous cut — writes everything.
+  std::string prev_base;
   std::vector<std::string> prev_snapshots;
   {
     std::lock_guard<std::mutex> lock(manifest_mu_);
     if (manifest_.shards.size() == n) {
+      prev_base = manifest_.base_snapshot;
       for (const ShardManifest::ShardFiles& files : manifest_.shards) {
         prev_snapshots.push_back(files.snapshot);
       }
     }
   }
   const bool incremental = prev_snapshots.size() == n && logs_.size() == n;
+  const uint64_t auth_version = base_.auth_db.version();
+  const bool base_dirty =
+      !incremental || base_dirty_ || auth_version != base_auth_version_;
+  ShardManifest m;
+  m.epoch = epoch;
+  m.num_shards = n;
+  if (base_dirty) {
+    m.base_snapshot = BaseSnapName(epoch);
+    LTAM_RETURN_IF_ERROR(SaveSnapshot(base_, FilePath(m.base_snapshot),
+                                      LedgerPlacement::kInShards));
+    LTAM_RETURN_IF_ERROR(SyncFile(FilePath(m.base_snapshot)));
+    ++base_rewrites_;
+    if (base_rewrites_counter_ != nullptr) base_rewrites_counter_->Increment();
+  } else {
+    // Nothing but Mutate() changes the base, and the ledger lives in
+    // the shard snapshots: the previous file is byte-exact.
+    m.base_snapshot = prev_base;
+  }
+  clock->Lap(checkpoint_phase_[kBase]);
   uint64_t dirty = 0;
+  std::vector<uint64_t> floors(n, 0);
   for (uint32_t k = 0; k < n; ++k) {
     ShardManifest::ShardFiles files;
     const MovementDatabase& db = engine_->shard_movements(k);
-    const bool shard_dirty = !incremental || logs_[k]->appended_seq() > 0 ||
-                             (k < maintenance_dirty_.size() &&
-                              maintenance_dirty_[k]);
+    const uint64_t chain_records =
+        k < logs_.size() ? replayed_records_[k] + logs_[k]->appended_seq() : 0;
+    // A changed base rewrites every shard: a Mutate() callback may have
+    // touched any subject's ledger without a log record.
+    const bool shard_dirty = base_dirty || chain_records > 0 ||
+                             maintenance_dirty_[k];
     if (shard_dirty) {
       files.snapshot = ShardSnapName(k, epoch);
-      LTAM_RETURN_IF_ERROR(SaveMovements(db, FilePath(files.snapshot)));
+      LTAM_RETURN_IF_ERROR(SaveShardSnapshot(
+          db, CollectShardLedgers(base_.auth_db, *engine_, k),
+          FilePath(files.snapshot)));
       LTAM_RETURN_IF_ERROR(SyncFile(FilePath(files.snapshot)));
       ++dirty;
     } else {
-      // Clean shard: no log record landed since the previous cut and
-      // tier maintenance left the hot history alone, so the previous
-      // epoch's snapshot file is byte-exact for this shard.
-      // Re-reference it instead of rewriting — the incremental
-      // discipline that keeps checkpoint latency proportional to the
-      // events since the last checkpoint, not to total history.
+      // Clean shard: no log record landed (or was replayed) since the
+      // previous cut and tier maintenance left the hot history alone,
+      // so the previous snapshot — movements and ledgers — is
+      // byte-exact for this shard. Re-reference it instead of
+      // rewriting: checkpoint cost follows the events since the last
+      // checkpoint, not total history.
       files.snapshot = prev_snapshots[k];
     }
     files.wals = {ShardWalName(k, epoch)};
     for (const ColdFile& f : cold_files_[k]) files.cold.push_back(f.name);
     files.dropped_events = db.dropped_events();
+    // Every record of the retiring chain is folded into this cut.
+    floors[k] = log_floor_[k] + chain_records;
+    files.log_floor = floors[k];
     m.shards.push_back(std::move(files));
   }
+  clock->Lap(checkpoint_phase_[kShards]);
   last_checkpoint_dirty_segments_ = dirty;
   checkpoint_dirty_segments_ += dirty;
   if (dirty_segments_counter_ != nullptr && dirty > 0) {
@@ -373,16 +451,19 @@ Status DurableShardedSystem::WriteEpoch(uint64_t epoch) {
       ++manifest_publish_skips_;  // Unreachable: the epoch advanced.
     }
     manifest_ = std::move(m);
+    // The cut is committed: only now is the base clean.
+    base_dirty_ = false;
+    base_auth_version_ = auth_version;
     // Retire the old log generation: everything it accepted is durable
     // now (the snapshot carries the live state, lost pipelined tails
-    // included), and its counters must survive the swap. The floor and
+    // included), and its counters must survive the swap. The floors and
     // the logs_ vector swap under manifest_mu_ so a shipper thread
     // snapshotting its read position never sees a half-retired shard.
-    retired_records_per_shard_.resize(logs_.size(), 0);
-    for (size_t k = 0; k < logs_.size(); ++k) {
-      const std::unique_ptr<ShardLog>& log = logs_[k];
-      retired_records_ += log->appended_seq();
-      retired_records_per_shard_[k] += log->appended_seq();
+    for (uint32_t k = 0; k < n; ++k) {
+      log_floor_[k] = floors[k];
+      replayed_records_[k] = 0;
+    }
+    for (const std::unique_ptr<ShardLog>& log : logs_) {
       retired_append_failures_ += log->append_failures();
       retired_sync_failures_ += log->sync_failures();
     }
@@ -395,6 +476,7 @@ Status DurableShardedSystem::WriteEpoch(uint64_t epoch) {
   // Joins the old log threads before their files go — outside
   // manifest_mu_, which a log thread takes to rotate.
   retiring.clear();
+  clock->Lap(checkpoint_phase_[kManifest]);
   return Status::OK();
 }
 
@@ -555,30 +637,41 @@ void DurableShardedSystem::UpdateColdGauges() {
   }
 }
 
-void DurableShardedSystem::SweepOrphanColdFiles() {
+void DurableShardedSystem::SweepOrphanFiles() {
   std::unordered_set<std::string> referenced;
   {
     std::lock_guard<std::mutex> lock(manifest_mu_);
+    referenced.insert(manifest_.base_snapshot);
     for (const ShardManifest::ShardFiles& files : manifest_.shards) {
+      referenced.insert(files.snapshot);
       referenced.insert(files.cold.begin(), files.cold.end());
     }
   }
+  auto named = [](const std::string& name, const char* prefix,
+                  const char* suffix) {
+    const size_t p = std::strlen(prefix);
+    const size_t x = std::strlen(suffix);
+    return name.size() > p + x && name.compare(0, p, prefix) == 0 &&
+           name.compare(name.size() - x, x, suffix) == 0;
+  };
   DIR* dir = ::opendir(dir_.c_str());
   if (dir == nullptr) return;
   std::vector<std::string> orphans;
   while (struct dirent* entry = ::readdir(dir)) {
     const std::string name = entry->d_name;
-    if (name.compare(0, 5, "cold-") != 0) continue;
-    if (name.size() < 4 || name.compare(name.size() - 4, 4, ".seg") != 0) {
+    if (!named(name, "cold-", ".seg") && !named(name, "base-", ".snap") &&
+        !named(name, "shard-", ".snap")) {
       continue;
     }
     if (referenced.count(name) == 0) orphans.push_back(name);
   }
   ::closedir(dir);
-  // A crash between segment write and manifest publish leaves the file
-  // behind; its name will be reused (the index counter restarts from
-  // the committed manifest), but sweeping now keeps the directory an
-  // exact mirror of the committed cut.
+  // A crash between a file's write and the manifest publish leaves it
+  // behind. A cold name is reused (the index counter restarts from the
+  // committed manifest), but a snapshot name may never be: a retried
+  // checkpoint re-references a clean base or shard instead of writing
+  // its own epoch's file. Sweeping keeps the directory an exact mirror
+  // of the committed cut.
   for (const std::string& name : orphans) {
     std::remove(FilePath(name).c_str());
   }
@@ -619,6 +712,131 @@ void DurableShardedSystem::InstallHooks() {
   engine_->SetShardHooks(std::move(hooks));
 }
 
+Status DurableShardedSystem::LoadShard(uint32_t k, const std::string& name,
+                                       LedgerPlacement placement) {
+  LTAM_ASSIGN_OR_RETURN(ShardSnapshot snap,
+                        LoadShardSnapshot(FilePath(name), placement));
+  const std::string where = "shard snapshot '" + name + "' for shard " +
+                            std::to_string(k);
+  for (const MovementEvent& ev : snap.movements.history()) {
+    if (engine_->ShardOf(ev.subject) != k) {
+      return Status::ParseError(where + " contains foreign subject " +
+                                std::to_string(ev.subject));
+    }
+  }
+  for (const SubjectLedger& ledger : snap.ledgers) {
+    if (engine_->ShardOf(ledger.subject) != k) {
+      return Status::ParseError(where + " carries the ledger of foreign " +
+                                "subject " + std::to_string(ledger.subject));
+    }
+    for (const auto& [id, used] : ledger.used) {
+      Status restored =
+          base_.auth_db.RestoreEntriesUsed(id, ledger.subject, used);
+      if (!restored.ok()) return restored.WithContext(where);
+    }
+  }
+  engine_->mutable_shard_movements(k) = std::move(snap.movements);
+  return Status::OK();
+}
+
+Status DurableShardedSystem::LoadColdTier(
+    uint32_t k, const ShardManifest::ShardFiles& files) {
+  if (files.cold.empty() && files.dropped_events == 0) return Status::OK();
+  std::vector<std::shared_ptr<const ColdSegment>> segs;
+  segs.reserve(files.cold.size());
+  for (const std::string& name : files.cold) {
+    LTAM_ASSIGN_OR_RETURN(std::shared_ptr<const ColdSegment> seg,
+                          LoadColdSegment(FilePath(name)));
+    for (size_t i = 0; i < seg->rows();) {
+      const SubjectId s = seg->subjects[i];
+      if (engine_->ShardOf(s) != k) {
+        return Status::ParseError("cold segment '" + name + "' for shard " +
+                                  std::to_string(k) +
+                                  " contains foreign subject " +
+                                  std::to_string(s));
+      }
+      // Rows are subject-sorted; skip to the next distinct one.
+      while (i < seg->rows() && seg->subjects[i] == s) ++i;
+    }
+    uint64_t index = 0;
+    if (ParseColdIndex(name, k, &index)) {
+      next_cold_index_[k] = std::max(next_cold_index_[k], index + 1);
+    }
+    cold_files_[k].push_back({name, seg, /*persisted=*/true});
+    segs.push_back(std::move(seg));
+  }
+  next_cold_index_[k] = std::max(
+      next_cold_index_[k], static_cast<uint64_t>(cold_files_[k].size()));
+  engine_->mutable_shard_movements(k).AttachColdTier(std::move(segs),
+                                                     files.dropped_events);
+  return Status::OK();
+}
+
+Status DurableShardedSystem::Recover(const std::string& manifest_path) {
+  PhaseClock clock(recovery_phase_[kLoadManifest] != nullptr);
+  LTAM_ASSIGN_OR_RETURN(ShardManifest manifest, LoadManifest(manifest_path));
+  if (manifest.num_shards != options_.num_shards) {
+    // The on-disk partition always wins — the logged subjects were
+    // routed under it — but callers asked for something else, so say
+    // so explicitly instead of letting them guess from behavior.
+    shard_count_overridden_ = true;
+    LTAM_LOG_WARNING << "durable directory '" << dir_ << "' pins "
+                     << manifest.num_shards << " shards; requested "
+                     << options_.num_shards
+                     << " ignored (partition is fixed at creation)";
+  }
+  clock.Lap(recovery_phase_[kLoadManifest]);
+  LedgerPlacement placement = LedgerPlacement::kInline;
+  LTAM_ASSIGN_OR_RETURN(
+      SystemState recovered,
+      LoadSnapshot(FilePath(manifest.base_snapshot),
+                   SubjectOperatorRegistry::Default(),
+                   LocationOperatorRegistry::Default(), &placement));
+  if (!recovered.movements.history().empty()) {
+    return Status::ParseError(
+        "sharded base snapshot must not carry movement records "
+        "(movements live in the per-shard segments)");
+  }
+  base_ = std::move(recovered);
+  // A base that still carries the ledger predates ledger-in-shards: its
+  // shard snapshots hold movements only. The first checkpoint rewrites
+  // the base and every shard in the new format.
+  base_dirty_ = placement == LedgerPlacement::kInline;
+  InitEngine(manifest.num_shards);
+  clock.Lap(recovery_phase_[kLoadBase]);
+  for (uint32_t k = 0; k < manifest.num_shards; ++k) {
+    LTAM_RETURN_IF_ERROR(LoadShard(k, manifest.shards[k].snapshot, placement));
+    log_floor_[k] = manifest.shards[k].log_floor;
+  }
+  clock.Lap(recovery_phase_[kLoadShards]);
+  // The cold tier attaches BEFORE the log replays: replay runs the same
+  // monotonicity checks the live path ran, and those depend on the
+  // sealed floors the tier carries.
+  for (uint32_t k = 0; k < manifest.num_shards; ++k) {
+    LTAM_RETURN_IF_ERROR(LoadColdTier(k, manifest.shards[k]));
+  }
+  clock.Lap(recovery_phase_[kLoadCold]);
+  for (uint32_t k = 0; k < manifest.num_shards; ++k) RebuildShardStays(k);
+  LTAM_RETURN_IF_ERROR(ReplayShardLogs(manifest));
+  base_auth_version_ = base_.auth_db.version();
+  epoch_ = manifest.epoch;
+  manifest_ = std::move(manifest);
+  // Appends resume on each shard's final committed segment.
+  for (uint32_t k = 0; k < manifest_.num_shards; ++k) {
+    const std::vector<std::string>& segments = manifest_.shards[k].wals;
+    const std::string tail = FilePath(segments.back());
+    LTAM_ASSIGN_OR_RETURN(WalWriter wal, WalWriter::Open(tail));
+    LTAM_ASSIGN_OR_RETURN(uint64_t bytes, SizeOfFile(tail));
+    logs_.push_back(MakeShardLog(k, std::move(wal), bytes,
+                                 static_cast<uint32_t>(segments.size() - 1)));
+  }
+  clock.Lap(recovery_phase_[kReplay]);
+  if (recovery_duration_gauge_ != nullptr) {
+    recovery_duration_gauge_->Set(static_cast<int64_t>(clock.Elapsed()));
+  }
+  return Status::OK();
+}
+
 Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
     const std::string& dir, SystemState initial,
     DurableShardedOptions options) {
@@ -632,89 +850,7 @@ Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
   sys->requested_shards_ = options.num_shards;
   const std::string manifest_path = sys->FilePath(ManifestFileName());
   if (FileExists(manifest_path)) {
-    LTAM_ASSIGN_OR_RETURN(ShardManifest manifest,
-                          LoadManifest(manifest_path));
-    if (manifest.num_shards != options.num_shards) {
-      // The on-disk partition always wins — the logged subjects were
-      // routed under it — but callers asked for something else, so say
-      // so explicitly instead of letting them guess from behavior.
-      sys->shard_count_overridden_ = true;
-      LTAM_LOG_WARNING << "durable directory '" << dir << "' pins "
-                       << manifest.num_shards << " shards; requested "
-                       << options.num_shards
-                       << " ignored (partition is fixed at creation)";
-    }
-    LTAM_ASSIGN_OR_RETURN(SystemState recovered,
-                          LoadSnapshot(sys->FilePath(manifest.base_snapshot)));
-    if (!recovered.movements.history().empty()) {
-      return Status::ParseError(
-          "sharded base snapshot must not carry movement records "
-          "(movements live in the per-shard segments)");
-    }
-    sys->base_ = std::move(recovered);
-    sys->InitEngine(manifest.num_shards);
-    for (uint32_t k = 0; k < manifest.num_shards; ++k) {
-      LTAM_ASSIGN_OR_RETURN(
-          MovementDatabase segment,
-          LoadMovements(sys->FilePath(manifest.shards[k].snapshot)));
-      for (const MovementEvent& ev : segment.history()) {
-        if (sys->engine_->ShardOf(ev.subject) != k) {
-          return Status::ParseError(
-              "segment for shard " + std::to_string(k) +
-              " contains foreign subject " + std::to_string(ev.subject));
-        }
-      }
-      sys->engine_->mutable_shard_movements(k) = std::move(segment);
-      // The cold tier attaches BEFORE the log replays: replay runs the
-      // same monotonicity checks the live path ran, and those depend on
-      // the sealed floors the tier carries.
-      const ShardManifest::ShardFiles& files = manifest.shards[k];
-      if (!files.cold.empty() || files.dropped_events > 0) {
-        std::vector<std::shared_ptr<const ColdSegment>> segs;
-        segs.reserve(files.cold.size());
-        for (const std::string& name : files.cold) {
-          LTAM_ASSIGN_OR_RETURN(std::shared_ptr<const ColdSegment> seg,
-                                LoadColdSegment(sys->FilePath(name)));
-          for (size_t i = 0; i < seg->rows();) {
-            const SubjectId s = seg->subjects[i];
-            if (sys->engine_->ShardOf(s) != k) {
-              return Status::ParseError(
-                  "cold segment '" + name + "' for shard " +
-                  std::to_string(k) + " contains foreign subject " +
-                  std::to_string(s));
-            }
-            // Rows are subject-sorted; skip to the next distinct one.
-            while (i < seg->rows() && seg->subjects[i] == s) ++i;
-          }
-          uint64_t index = 0;
-          if (ParseColdIndex(name, k, &index)) {
-            sys->next_cold_index_[k] =
-                std::max(sys->next_cold_index_[k], index + 1);
-          }
-          sys->cold_files_[k].push_back({name, seg, /*persisted=*/true});
-          segs.push_back(std::move(seg));
-        }
-        sys->next_cold_index_[k] = std::max(
-            sys->next_cold_index_[k],
-            static_cast<uint64_t>(sys->cold_files_[k].size()));
-        sys->engine_->mutable_shard_movements(k).AttachColdTier(
-            std::move(segs), files.dropped_events);
-      }
-      sys->RebuildShardStays(k);
-    }
-    LTAM_RETURN_IF_ERROR(sys->ReplayShardLogs(manifest));
-    sys->epoch_ = manifest.epoch;
-    sys->manifest_ = std::move(manifest);
-    // Appends resume on each shard's final committed segment.
-    for (uint32_t k = 0; k < sys->manifest_.num_shards; ++k) {
-      const std::vector<std::string>& segments = sys->manifest_.shards[k].wals;
-      const std::string tail = sys->FilePath(segments.back());
-      LTAM_ASSIGN_OR_RETURN(WalWriter wal, WalWriter::Open(tail));
-      LTAM_ASSIGN_OR_RETURN(uint64_t bytes, SizeOfFile(tail));
-      sys->logs_.push_back(sys->MakeShardLog(
-          k, std::move(wal), bytes,
-          static_cast<uint32_t>(segments.size() - 1)));
-    }
+    LTAM_RETURN_IF_ERROR(sys->Recover(manifest_path));
   } else {
     sys->base_ = std::move(initial);
     sys->InitEngine(options.num_shards);
@@ -723,10 +859,11 @@ Result<std::unique_ptr<DurableShardedSystem>> DurableShardedSystem::Open(
       sys->RebuildShardStays(k);
     }
     // Checkpoint the seed immediately: recovery never needs `initial`.
-    LTAM_RETURN_IF_ERROR(sys->WriteEpoch(0));
+    PhaseClock untimed(false);
+    LTAM_RETURN_IF_ERROR(sys->WriteEpoch(0, &untimed));
     sys->epoch_ = 0;
   }
-  sys->SweepOrphanColdFiles();
+  sys->SweepOrphanFiles();
   sys->UpdateColdGauges();
   sys->InstallHooks();
   return sys;
@@ -781,23 +918,21 @@ Status DurableShardedSystem::WaitDurable() {
 
 DurabilityWatermark DurableShardedSystem::Watermark() const {
   DurabilityWatermark mark;
-  mark.applied = retired_records_;
-  mark.durable = retired_records_;
-  for (const std::unique_ptr<ShardLog>& log : logs_) {
-    mark.applied += log->appended_seq();
-    mark.durable += log->durable_seq();
+  for (uint32_t k = 0; k < logs_.size(); ++k) {
+    const DurabilityWatermark shard = ShardWatermark(k);
+    mark.applied += shard.applied;
+    mark.durable += shard.durable;
   }
   return mark;
 }
 
 DurabilityWatermark DurableShardedSystem::ShardWatermark(
     uint32_t shard) const {
-  const uint64_t retired = shard < retired_records_per_shard_.size()
-                               ? retired_records_per_shard_[shard]
-                               : 0;
+  // The replayed chain records were on disk before Open: durable.
+  const uint64_t base = log_floor_[shard] + replayed_records_[shard];
   DurabilityWatermark mark;
-  mark.applied = retired + logs_[shard]->appended_seq();
-  mark.durable = retired + logs_[shard]->durable_seq();
+  mark.applied = base + logs_[shard]->appended_seq();
+  mark.durable = base + logs_[shard]->durable_seq();
   return mark;
 }
 
@@ -818,6 +953,7 @@ uint64_t DurableShardedSystem::wal_sync_failures() const {
 }
 
 Status DurableShardedSystem::Checkpoint() {
+  PhaseClock clock(checkpoint_phase_[kFlush] != nullptr);
   // Quiesce the write path. A sticky-failed pipelined log cannot flush,
   // but the checkpoint REPAIRS it: the snapshot persists the live state
   // (which includes every event whose log bytes were lost), and the new
@@ -833,17 +969,21 @@ Status DurableShardedSystem::Checkpoint() {
   // them. A crash anywhere in between recovers the previous committed
   // cut; sealing is query-transparent, so the retried checkpoint
   // re-derives an equivalent tier.
+  clock.Lap(checkpoint_phase_[kFlush]);
   MaintainColdTiers();
+  clock.Lap(checkpoint_phase_[kMaintain]);
   LTAM_RETURN_IF_ERROR(PersistColdFiles());
+  clock.Lap(checkpoint_phase_[kColdPersist]);
   ShardManifest old_manifest;
   {
     std::lock_guard<std::mutex> lock(manifest_mu_);
     old_manifest = manifest_;
   }
-  LTAM_RETURN_IF_ERROR(WriteEpoch(epoch_ + 1));
+  LTAM_RETURN_IF_ERROR(WriteEpoch(epoch_ + 1, &clock));
   epoch_ += 1;
   RemoveEpochFiles(old_manifest);
   UpdateColdGauges();
+  clock.Lap(checkpoint_phase_[kSweep]);
   return Status::OK();
 }
 
@@ -897,24 +1037,23 @@ DurableShardedSystem::ReadShardRecords(uint32_t shard, uint64_t from,
   // its higher retired floor turns the race into "resync required").
   Status last_read = Status::OK();
   for (int attempt = 0; attempt < 2; ++attempt) {
-    uint64_t retired = 0;
+    uint64_t floor = 0;
     uint64_t durable = 0;
     uint64_t appended = 0;
     std::vector<std::string> segments;
     {
       std::lock_guard<std::mutex> lock(manifest_mu_);
-      retired = shard < retired_records_per_shard_.size()
-                    ? retired_records_per_shard_[shard]
-                    : 0;
-      durable = retired + logs_[shard]->durable_seq();
-      appended = retired + logs_[shard]->appended_seq();
+      floor = log_floor_[shard];
+      const DurabilityWatermark mark = ShardWatermark(shard);
+      durable = mark.durable;
+      appended = mark.applied;
       segments = manifest_.shards[shard].wals;
     }
-    if (from < retired) {
+    if (from < floor) {
       return Status::FailedPrecondition(
           "resync required: shard " + std::to_string(shard) + " position " +
           std::to_string(from) + " precedes the retained log floor " +
-          std::to_string(retired) + " (a checkpoint retired it)");
+          std::to_string(floor) + " (a checkpoint retired it)");
     }
     if (from > appended) {
       return Status::FailedPrecondition(
@@ -928,7 +1067,8 @@ DurableShardedSystem::ReadShardRecords(uint32_t shard, uint64_t from,
     if (from >= durable) return slice;  // Nothing durable to ship yet.
     const uint64_t want =
         std::min<uint64_t>(durable - from, static_cast<uint64_t>(max_records));
-    uint64_t skip = from - retired;
+    // The chain starts at the floor: replayed records, then appended.
+    uint64_t skip = from - floor;
     last_read = Status::OK();
     for (const std::string& segment : segments) {
       if (slice.records.size() >= want) break;
@@ -962,11 +1102,8 @@ DurableShardedSystem::ApplyReplicatedRecords(
                                    std::to_string(shard) + " of " +
                                    std::to_string(num_shards()));
   }
-  const uint64_t retired = shard < retired_records_per_shard_.size()
-                               ? retired_records_per_shard_[shard]
-                               : 0;
   ReplicationApply out;
-  out.position = retired + logs_[shard]->appended_seq();
+  out.position = ShardWatermark(shard).applied;
   if (start > out.position) {
     return Status::FailedPrecondition(
         "replication gap: chunk for shard " + std::to_string(shard) +

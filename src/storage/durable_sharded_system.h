@@ -7,8 +7,10 @@
 //   MANIFEST                    the committed checkpoint cut (see
 //                               storage/manifest.h; atomically renamed)
 //   base-<epoch>.snap           shared state: graph, profiles,
-//                               authorization ledger, rules
-//   shard-<k>-<epoch>.snap      shard k's movement history at the cut
+//                               authorizations, rules (no entry
+//                               ledger; rewritten only after a change)
+//   shard-<k>-<epoch>.snap      shard k's movement history and its
+//                               subjects' entry ledgers at the cut
 //   events-<k>-<epoch>.wal      shard k's log tail since the cut
 //   events-<k>-<epoch>-<s>.wal  rotated log segments (s >= 1), created
 //                               once the previous segment crossed
@@ -47,7 +49,17 @@
 // accepted no records since the previous cut (and whose cold tier did
 // not change) re-references its previous snapshot file in the new
 // manifest instead of rewriting it, so checkpoint latency scales with
-// the events since the last checkpoint, not with total history.
+// the events since the last checkpoint, not with total history. The
+// base is re-referenced the same way unless it changed: the
+// Definition-7 entry counts are per-subject state (every authorization
+// binds one subject, Definition 4), so they live in the shard
+// snapshots, and the base changes only through mutable_base() — the
+// facade's Mutate() window — or an authorization-database version bump.
+// A checkpoint after such a change rewrites the base and every shard
+// (a Mutate callback may touch any subject's ledger). A directory
+// whose base still carries the ledger (written before it moved) loads
+// as it is and its first checkpoint rewrites the base and every shard,
+// so no re-referenced snapshot is ever missing its ledger.
 //
 // With RetentionOptions::max_hot_events set, Checkpoint() also runs the
 // per-shard tier maintenance pass first: shards whose hot history
@@ -61,8 +73,10 @@
 // or superseded by compaction are swept with the old epoch's files.
 //
 // Open() recovers by loading the manifest's base snapshot and shard
-// segments, rebuilding each shard's open-stay attribution exactly as the
-// sequential DurableSystem does (first in-window authorization wins),
+// snapshots (restoring each subject's ledger after checking that the
+// authorization exists, binds that subject, lives on that shard and
+// stays within max_entries), rebuilding each shard's open-stay
+// attribution exactly as the sequential DurableSystem does (first in-window authorization wins),
 // then replaying every shard's log segments — in committed order within
 // a shard, and across shards *in parallel* — safe because the partition
 // confines each subject's events to one shard. Only the final segment
@@ -93,6 +107,8 @@ namespace ltam {
 
 class Counter;
 class Gauge;
+class Histogram;
+class PhaseClock;
 
 /// Tuning knobs for the durable sharded runtime.
 struct DurableShardedOptions {
@@ -168,7 +184,11 @@ class DurableShardedSystem {
   /// Persists the full state as a new epoch and truncates every shard's
   /// log (all rotated segments swept with it). Subsequent recovery
   /// starts from here. Restores durable == applied: the snapshot
-  /// supersedes any tail a sticky-failed pipelined log lost.
+  /// supersedes any tail a sticky-failed pipelined log lost. With a
+  /// metrics registry, each phase is timed into
+  /// checkpoint.phase.{flush,maintain,cold_persist,base,shards,manifest,
+  /// sweep} (Open times recovery into recovery.phase.{manifest,base,
+  /// shards,cold,replay} and sets the recovery.duration_ns gauge).
   Status Checkpoint();
 
   /// Durability barrier: blocks until every accepted log record is
@@ -182,7 +202,7 @@ class DurableShardedSystem {
   DurabilityWatermark Watermark() const;
 
   /// One shard log's durability position, monotonic across checkpoints
-  /// (retired generations are accumulated per shard). The aggregate
+  /// and reopens (log floor + replayed chain + live log). The aggregate
   /// Watermark() is the sum over shards.
   DurabilityWatermark ShardWatermark(uint32_t shard) const;
 
@@ -216,6 +236,9 @@ class DurableShardedSystem {
   uint64_t checkpoint_dirty_segments() const {
     return checkpoint_dirty_segments_;
   }
+  /// Base snapshots written since Open (the fresh directory's epoch 0
+  /// included): one per checkpoint that followed a base change.
+  uint64_t base_rewrites() const { return base_rewrites_; }
   /// Compaction merges performed since Open.
   uint64_t compaction_runs() const { return compaction_runs_; }
   /// Sealed segments dropped past the horizon since Open.
@@ -226,9 +249,12 @@ class DurableShardedSystem {
   // --- Replication ---------------------------------------------------------
   //
   // The replication position of shard k is the monotonic per-shard
-  // record count ShardWatermark() reports: retired generations plus the
-  // live log's sequence. Shipping reads committed records back out of
-  // the segment chain; applying appends them to the replica's own chain
+  // record count ShardWatermark() reports: the manifest's log floor
+  // (records earlier epochs folded into snapshots), plus the records
+  // Open replayed from the current WAL chain, plus the live log's
+  // sequence. The floor is persisted, so positions survive reopens.
+  // Shipping reads committed records back out of the segment chain;
+  // applying appends them to the replica's own chain
   // (write-ahead, so replica restart and onward promotion replay the
   // identical stream) and then applies them through the recovery codec.
 
@@ -244,7 +270,7 @@ class DurableShardedSystem {
   /// position `from`. Only durable records ship (a replica must never
   /// hold a record its primary could still lose); `from` at or beyond
   /// the durable position returns an empty slice — poll again. `from`
-  /// below the retired floor is FailedPrecondition "resync required":
+  /// below the log floor is FailedPrecondition "resync required":
   /// a checkpoint folded those records into a snapshot and swept them.
   /// Callable from a shipper thread concurrent with the write path.
   Result<ReplicationSlice> ReadShardRecords(uint32_t shard, uint64_t from,
@@ -280,10 +306,15 @@ class DurableShardedSystem {
 
   // --- Introspection -------------------------------------------------------
 
-  /// Shared state (graph/profiles/auth ledger/rules). Movement state
-  /// lives in the per-shard views, not here.
+  /// Shared state (graph/profiles/auth DB with its ledger/rules).
+  /// Movement state lives in the per-shard views, not here.
   const SystemState& base() const { return base_; }
-  SystemState& mutable_base() { return base_; }
+  /// Mutable shared state: marks the base dirty, so the next checkpoint
+  /// rewrites it (and every shard snapshot) instead of re-referencing.
+  SystemState& mutable_base() {
+    base_dirty_ = true;
+    return base_;
+  }
 
   const ShardedDecisionEngine& engine() const { return *engine_; }
   ShardedDecisionEngine& engine() { return *engine_; }
@@ -358,15 +389,28 @@ class DurableShardedSystem {
   /// Runs on shard `shard`'s log thread.
   Result<WalWriter> RotateShardSegment(uint32_t shard, uint32_t next_segment);
 
+  /// Recovers the committed cut named by the MANIFEST at
+  /// `manifest_path`: base, shard snapshots with their ledgers, cold
+  /// tiers, then the WAL tails; installs the tail writers.
+  Status Recover(const std::string& manifest_path);
+
+  /// Loads shard `k`'s snapshot and restores its ledgers into base_.
+  Status LoadShard(uint32_t k, const std::string& name,
+                   LedgerPlacement placement);
+
+  /// Loads and attaches shard `k`'s cold tier.
+  Status LoadColdTier(uint32_t k, const ShardManifest::ShardFiles& files);
+
   /// Replays every shard's committed WAL segments (parallel across
-  /// shards, ordered within one) and installs the tail writers;
-  /// `manifest` names the files.
+  /// shards, ordered within one), counting the records into
+  /// replayed_records_; `manifest` names the files.
   Status ReplayShardLogs(const ShardManifest& manifest);
 
-  /// Writes the dirty segments of `epoch` + its manifest and swaps in
-  /// fresh logs; clean shards re-reference their previous snapshot
-  /// file. On success the committed cut is in manifest_.
-  Status WriteEpoch(uint64_t epoch);
+  /// Writes the dirty files of `epoch` + its manifest and swaps in
+  /// fresh logs; a clean base and clean shards re-reference their
+  /// previous files. On success the committed cut is in manifest_.
+  /// `clock` (may be inert) times the base, shards and manifest phases.
+  Status WriteEpoch(uint64_t epoch, PhaseClock* clock);
 
   /// Checkpoint's tier maintenance pass: seals oversized hot shards,
   /// drops sealed segments past the retention horizon, merges segment
@@ -384,10 +428,11 @@ class DurableShardedSystem {
   /// to the registry, if one is wired.
   void UpdateColdGauges();
 
-  /// Best-effort unlink of cold-*.seg files in dir_ that the committed
-  /// manifest does not reference (a crash between segment write and
-  /// manifest publish leaves such orphans).
-  void SweepOrphanColdFiles();
+  /// Best-effort unlink of cold-*.seg, base-*.snap and shard-*.snap
+  /// files in dir_ that the committed manifest does not reference (a
+  /// crash between a file's write and the manifest publish leaves such
+  /// orphans).
+  void SweepOrphanFiles();
 
   /// Installs the write-ahead hooks on the engine.
   void InstallHooks();
@@ -409,9 +454,9 @@ class DurableShardedSystem {
   /// The committed cut (segment lists grow under rotation). Guarded by
   /// manifest_mu_: rotation runs on log threads while the control
   /// thread may be reading; Checkpoint republishes it wholesale.
-  /// Shipper threads also snapshot {segment list, retired floor, log
+  /// Shipper threads also snapshot {segment list, log floor, log
   /// pointers} under it, so manifest_mu_ additionally guards
-  /// retired_records_per_shard_ and the logs_ vector itself (never a
+  /// log_floor_, replayed_records_ and the logs_ vector itself (never a
   /// ShardLog's destruction: joining a log thread that may be blocked
   /// on manifest_mu_ inside a rotation must happen outside the lock).
   ShardManifest manifest_;
@@ -423,14 +468,22 @@ class DurableShardedSystem {
   uint64_t manifest_publishes_ = 0;
   uint64_t manifest_publish_skips_ = 0;
   uint64_t epoch_ = 0;
-  /// Watermark/counter accumulators for log generations retired by
-  /// Checkpoint (their records are all durable via the snapshot).
-  uint64_t retired_records_ = 0;
+  /// Counter accumulators for log generations retired by Checkpoint.
   uint64_t retired_append_failures_ = 0;
   uint64_t retired_sync_failures_ = 0;
-  /// Per-shard slice of retired_records_, so ShardWatermark stays
-  /// monotonic across checkpoints too.
-  std::vector<uint64_t> retired_records_per_shard_;
+  /// Per shard: the replication position of the current WAL chain's
+  /// first record (manifest `floor`), and the records Open replayed
+  /// from that chain. Positions are floor + replayed + the live log's
+  /// sequence; the chain holds exactly replayed + appended records.
+  std::vector<uint64_t> log_floor_;
+  std::vector<uint64_t> replayed_records_;
+  /// The base changed since the committed cut: set by mutable_base()
+  /// and by loading a base that still carries the ledger; cleared once
+  /// a manifest naming a rewritten base commits. The database version
+  /// at that commit backs it up.
+  bool base_dirty_ = false;
+  uint64_t base_auth_version_ = 0;
+  uint64_t base_rewrites_ = 0;
   /// Shard count requested at Open (clamped); differs from num_shards()
   /// iff a recovered manifest pinned another count.
   uint32_t requested_shards_ = 0;
@@ -458,6 +511,13 @@ class DurableShardedSystem {
   uint64_t retention_dropped_segments_ = 0;
   /// Resolved once from options_.durability.metrics (null = off).
   Counter* dirty_segments_counter_ = nullptr;
+  Counter* base_rewrites_counter_ = nullptr;
+  /// checkpoint.phase.{flush,maintain,cold_persist,base,shards,
+  /// manifest,sweep} and recovery.phase.{manifest,base,shards,cold,
+  /// replay}, in that order (all null when off).
+  std::vector<Histogram*> checkpoint_phase_;
+  std::vector<Histogram*> recovery_phase_;
+  Gauge* recovery_duration_gauge_ = nullptr;
   Counter* compaction_runs_counter_ = nullptr;
   Counter* retention_dropped_counter_ = nullptr;
   Gauge* cold_segments_gauge_ = nullptr;

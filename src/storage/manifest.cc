@@ -97,6 +97,10 @@ Result<std::string> SerializeManifest(const ShardManifest& manifest) {
                          manifest.shards[k].cold.end());
       emit({"cold", std::move(cold_fields)});
     }
+    if (manifest.shards[k].log_floor > 0) {
+      emit({"floor",
+            {std::to_string(k), std::to_string(manifest.shards[k].log_floor)}});
+    }
   }
   emit({"commit", {std::to_string(records)}});
   return bytes;
@@ -276,6 +280,28 @@ Result<ShardManifest> LoadManifest(const std::string& path) {
         LTAM_RETURN_IF_ERROR(CheckFileName(rec.fields[i]));
         files.cold.push_back(rec.fields[i]);
       }
+      ++records;
+      continue;
+    }
+    if (rec.type == "floor") {
+      if (rec.fields.size() != 2) {
+        return Status::ParseError("floor record field count");
+      }
+      LTAM_ASSIGN_OR_RETURN(int64_t k, Field(rec, 0));
+      if (k < 0 || k >= static_cast<int64_t>(out.num_shards)) {
+        return Status::ParseError("floor record shard index out of range: " +
+                                  std::to_string(k));
+      }
+      ShardManifest::ShardFiles& files = out.shards[static_cast<size_t>(k)];
+      if (files.log_floor > 0) {
+        return Status::ParseError("duplicate floor record for shard " +
+                                  std::to_string(k));
+      }
+      LTAM_ASSIGN_OR_RETURN(int64_t floor, Field(rec, 1));
+      if (floor < 1) {
+        return Status::ParseError("floor record must be positive");
+      }
+      files.log_floor = static_cast<uint64_t>(floor);
       ++records;
       continue;
     }

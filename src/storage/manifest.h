@@ -21,6 +21,11 @@
 //                       sealed cold segments in sequence order plus the
 //                       cumulative count of events already dropped past
 //                       the retention horizon; absent = no cold tier)
+//   floor <k> <records>
+//                      (optional, at most one per shard: the shard's
+//                       replication position at the first record of its
+//                       WAL chain, i.e. every record earlier epochs
+//                       folded into snapshots; absent = 0)
 //   commit <record-count>
 //
 // A shard's WAL may span several rotated segments within one epoch
@@ -29,8 +34,9 @@
 // segment list, and rotation republishes the manifest so a crash at any
 // instant still names exactly the files recovery must replay, in order.
 // The `cold` record is emitted only for shards that actually sealed (or
-// dropped) history, so directories without tiering serialize
-// byte-identically to the pre-tiering format.
+// dropped) history, and `floor` only for shards with a nonzero floor,
+// so directories without tiering or checkpointed traffic serialize
+// byte-identically to the earlier formats.
 //
 // The trailing `commit` record carries the number of records before it;
 // a manifest without a matching commit record (torn write, truncation)
@@ -55,10 +61,13 @@ struct ShardManifest {
   uint64_t epoch = 0;
   /// Fixed at directory creation; the subject partition depends on it.
   uint32_t num_shards = 1;
-  /// Shared state snapshot (graph/profiles/authorizations/rules).
+  /// Shared state snapshot (graph/profiles/authorizations/rules). A
+  /// checkpoint whose base did not change re-references the previous
+  /// cut's file, so the name's epoch may be older than `epoch`.
   std::string base_snapshot;
   struct ShardFiles {
-    std::string snapshot;  ///< Per-shard hot movement segment.
+    /// Per-shard snapshot: hot movements + its subjects' entry ledgers.
+    std::string snapshot;
     /// Per-shard log tail, in replay order: the first entry is the
     /// segment the checkpoint created, later entries were committed by
     /// rotation. Never empty after a successful load.
@@ -69,6 +78,10 @@ struct ShardManifest {
     /// Events dropped past the retention horizon (cumulative), so the
     /// logical history length survives recovery.
     uint64_t dropped_events = 0;
+    /// Replication position of the first record in `wals`: the records
+    /// of every earlier WAL generation, so positions stay monotonic
+    /// across checkpoints and reopens.
+    uint64_t log_floor = 0;
   };
   /// Indexed by shard; size() == num_shards after a successful load.
   std::vector<ShardFiles> shards;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <string_view>
 
 #include "storage/codec.h"
 #include "util/string_util.h"
@@ -12,6 +13,11 @@
 namespace ltam {
 
 namespace {
+
+/// Declares LedgerPlacement::kInShards inside a base snapshot.
+constexpr const char* kLedgerInShards = "ledger-in-shards";
+/// Fields of an `auth` record without the trailing ledger count.
+constexpr size_t kAuthFields = 11;
 
 std::string I64(int64_t v) { return std::to_string(v); }
 std::string U32(uint32_t v) { return std::to_string(v); }
@@ -58,7 +64,8 @@ Status ApplyMoveRecord(const Record& rec, MovementDatabase* movements) {
 
 }  // namespace
 
-Status SaveSnapshot(const SystemState& state, const std::string& path) {
+Status SaveSnapshot(const SystemState& state, const std::string& path,
+                    LedgerPlacement ledger) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out.is_open()) {
     return Status::IOError("cannot open snapshot '" + path + "' for write");
@@ -70,6 +77,7 @@ Status SaveSnapshot(const SystemState& state, const std::string& path) {
   // --- Graph ---------------------------------------------------------------
   const MultilevelLocationGraph& g = state.graph;
   emit({"graph-root", {g.location(g.root()).name}});
+  if (ledger == LedgerPlacement::kInShards) emit({kLedgerInShards, {}});
   for (LocationId id = 1; id < g.size(); ++id) {
     const Location& loc = g.location(id);
     emit({"loc",
@@ -115,15 +123,18 @@ Status SaveSnapshot(const SystemState& state, const std::string& path) {
   const AuthorizationDatabase& db = state.auth_db;
   for (AuthId id = 0; id < db.size(); ++id) {
     const AuthRecord& rec = db.record(id);
-    emit({"auth",
-          {U32(id), I64(rec.auth.entry_duration().start()),
-           I64(rec.auth.entry_duration().end()),
-           I64(rec.auth.exit_duration().start()),
-           I64(rec.auth.exit_duration().end()), U32(rec.auth.subject()),
-           U32(rec.auth.location()), I64(rec.auth.max_entries()),
-           rec.origin == AuthOrigin::kDerived ? "derived" : "explicit",
-           U32(rec.source_rule), rec.revoked ? "1" : "0",
-           I64(rec.entries_used)}});
+    Record auth{"auth",
+                {U32(id), I64(rec.auth.entry_duration().start()),
+                 I64(rec.auth.entry_duration().end()),
+                 I64(rec.auth.exit_duration().start()),
+                 I64(rec.auth.exit_duration().end()), U32(rec.auth.subject()),
+                 U32(rec.auth.location()), I64(rec.auth.max_entries()),
+                 rec.origin == AuthOrigin::kDerived ? "derived" : "explicit",
+                 U32(rec.source_rule), rec.revoked ? "1" : "0"}};
+    if (ledger == LedgerPlacement::kInline) {
+      auth.fields.push_back(I64(rec.entries_used));
+    }
+    emit(auth);
   }
 
   // --- Rules -------------------------------------------------------------------
@@ -154,13 +165,14 @@ Result<SystemState> LoadSnapshot(const std::string& path) {
 
 Result<SystemState> LoadSnapshot(
     const std::string& path, const SubjectOperatorRegistry& subject_ops,
-    const LocationOperatorRegistry& location_ops) {
+    const LocationOperatorRegistry& location_ops, LedgerPlacement* ledger) {
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) {
     return Status::IOError("cannot open snapshot '" + path + "'");
   }
   SystemState state;
   bool graph_initialized = false;
+  LedgerPlacement placement = LedgerPlacement::kInline;
   std::string line;
   size_t line_no = 0;
   // Authorizations replay in id order; ledger/revocations apply inline.
@@ -182,6 +194,14 @@ Result<SystemState> LoadSnapshot(
     }
     if (!graph_initialized) {
       return Status::ParseError("snapshot must start with graph-root");
+    }
+    if (rec.type == kLedgerInShards) {
+      if (state.auth_db.size() > 0) {
+        return Status::ParseError(
+            "ledger placement must precede the authorizations");
+      }
+      placement = LedgerPlacement::kInShards;
+      continue;
     }
     if (rec.type == "loc") {
       LTAM_ASSIGN_OR_RETURN(int64_t id, F_I64(rec, 0));
@@ -270,6 +290,14 @@ Result<SystemState> LoadSnapshot(
       continue;
     }
     if (rec.type == "auth") {
+      const size_t fields =
+          placement == LedgerPlacement::kInline ? kAuthFields + 1 : kAuthFields;
+      if (rec.fields.size() != fields) {
+        return Status::ParseError("auth record has " +
+                                  std::to_string(rec.fields.size()) +
+                                  " fields, expected " +
+                                  std::to_string(fields));
+      }
       LTAM_ASSIGN_OR_RETURN(int64_t id, F_I64(rec, 0));
       LTAM_ASSIGN_OR_RETURN(int64_t es, F_I64(rec, 1));
       LTAM_ASSIGN_OR_RETURN(int64_t ee, F_I64(rec, 2));
@@ -281,7 +309,6 @@ Result<SystemState> LoadSnapshot(
       LTAM_ASSIGN_OR_RETURN(std::string origin, F_Str(rec, 8));
       LTAM_ASSIGN_OR_RETURN(int64_t rule, F_I64(rec, 9));
       LTAM_ASSIGN_OR_RETURN(int64_t revoked, F_I64(rec, 10));
-      LTAM_ASSIGN_OR_RETURN(int64_t used, F_I64(rec, 11));
       LTAM_ASSIGN_OR_RETURN(
           LocationTemporalAuthorization auth,
           LocationTemporalAuthorization::Make(
@@ -296,8 +323,10 @@ Result<SystemState> LoadSnapshot(
       if (added != static_cast<AuthId>(id)) {
         return Status::ParseError("snapshot auth ids are not dense");
       }
-      for (int64_t i = 0; i < used; ++i) {
-        LTAM_RETURN_IF_ERROR(state.auth_db.RecordEntry(added));
+      if (placement == LedgerPlacement::kInline) {
+        LTAM_ASSIGN_OR_RETURN(int64_t used, F_I64(rec, kAuthFields));
+        LTAM_RETURN_IF_ERROR(state.auth_db.RestoreEntriesUsed(
+            added, static_cast<SubjectId>(s), used));
       }
       if (revoked != 0) {
         LTAM_RETURN_IF_ERROR(state.auth_db.Revoke(added));
@@ -331,53 +360,140 @@ Result<SystemState> LoadSnapshot(
     return Status::ParseError("unknown snapshot record type '" + rec.type +
                               "'");
   }
+  if (ledger != nullptr) *ledger = placement;
   return state;
 }
 
-Status SaveMovements(const MovementDatabase& movements,
-                     const std::string& path) {
+Status SaveShardSnapshot(const MovementDatabase& movements,
+                         const std::vector<SubjectLedger>& ledgers,
+                         const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out.is_open()) {
-    return Status::IOError("cannot open movement segment '" + path +
+    return Status::IOError("cannot open shard snapshot '" + path +
                            "' for write");
   }
   for (const MovementEvent& ev : movements.history()) {
     out << EncodeRecord(MoveRecord(ev)) << '\n';
   }
+  // Digits and ':' need no escaping, so the line is written directly.
+  std::string line;
+  for (const SubjectLedger& ledger : ledgers) {
+    line = "ledger\t" + U32(ledger.subject);
+    AuthId prev = 0;
+    for (const auto& [id, used] : ledger.used) {
+      line += '\t';
+      line += U32(id - prev);
+      line += ':';
+      line += I64(used);
+      prev = id;
+    }
+    out << line << '\n';
+  }
+  out << EncodeRecord({"end",
+                       {std::to_string(movements.history().size()),
+                        std::to_string(ledgers.size())}})
+      << '\n';
   out.flush();
-  if (!out.good()) return Status::IOError("movement segment write failed");
+  if (!out.good()) return Status::IOError("shard snapshot write failed");
   return Status::OK();
 }
 
-Result<MovementDatabase> LoadMovements(const std::string& path) {
+namespace {
+
+/// Parses one `ledger` record: a subject, then `<gap>:<count>` pairs
+/// whose running sum of gaps is the authorization id (the first gap is
+/// the first id). Ids must ascend strictly and counts be positive.
+Result<SubjectLedger> DecodeLedgerRecord(const Record& rec) {
+  if (rec.fields.size() < 2) {
+    return Status::ParseError("ledger record lists no authorization");
+  }
+  LTAM_ASSIGN_OR_RETURN(int64_t s, F_I64(rec, 0));
+  if (s < 0 || s >= static_cast<int64_t>(kInvalidSubject)) {
+    return Status::ParseError("ledger subject id out of range");
+  }
+  SubjectLedger ledger;
+  ledger.subject = static_cast<SubjectId>(s);
+  ledger.used.reserve(rec.fields.size() - 1);
+  int64_t id = 0;
+  for (size_t i = 1; i < rec.fields.size(); ++i) {
+    const std::string& pair = rec.fields[i];
+    const size_t colon = pair.find(':');
+    if (colon == std::string::npos) {
+      return Status::ParseError("ledger entry '" + pair + "' is not gap:count");
+    }
+    LTAM_ASSIGN_OR_RETURN(int64_t gap,
+                          ParseInt64(std::string_view(pair).substr(0, colon)));
+    LTAM_ASSIGN_OR_RETURN(int64_t used,
+                          ParseInt64(std::string_view(pair).substr(colon + 1)));
+    if (gap < (i == 1 ? 0 : 1) || gap > static_cast<int64_t>(UINT32_MAX) ||
+        id + gap >= static_cast<int64_t>(kInvalidAuth)) {
+      return Status::ParseError("ledger authorization id out of range");
+    }
+    if (used < 1) {
+      return Status::ParseError("ledger count must be positive");
+    }
+    id += gap;
+    ledger.used.emplace_back(static_cast<AuthId>(id), used);
+  }
+  return ledger;
+}
+
+}  // namespace
+
+Result<ShardSnapshot> LoadShardSnapshot(const std::string& path,
+                                        LedgerPlacement placement) {
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) {
-    return Status::IOError("cannot open movement segment '" + path + "'");
+    return Status::IOError("cannot open shard snapshot '" + path + "'");
   }
-  MovementDatabase movements;
+  const bool in_shards = placement == LedgerPlacement::kInShards;
+  ShardSnapshot snap;
+  bool ended = false;
   std::string line;
   size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
+    const std::string where =
+        "shard snapshot '" + path + "' line " + std::to_string(line_no);
+    if (ended) return Status::ParseError(where + " follows the end record");
     Result<Record> rec_or = DecodeRecord(line);
-    if (!rec_or.ok()) {
-      return rec_or.status().WithContext("movement segment line " +
-                                         std::to_string(line_no));
+    if (!rec_or.ok()) return rec_or.status().WithContext(where);
+    const Record& rec = *rec_or;
+    Status applied;
+    if (rec.type == "move") {
+      applied = ApplyMoveRecord(rec, &snap.movements);
+    } else if (in_shards && rec.type == "ledger") {
+      Result<SubjectLedger> ledger = DecodeLedgerRecord(rec);
+      applied = ledger.status();
+      if (ledger.ok() && !snap.ledgers.empty() &&
+          ledger->subject <= snap.ledgers.back().subject) {
+        applied = Status::ParseError("ledger subjects must ascend");
+      }
+      if (applied.ok()) snap.ledgers.push_back(std::move(*ledger));
+    } else if (in_shards && rec.type == "end") {
+      if (rec.fields.size() != 2) {
+        return Status::ParseError(where + ": end record field count");
+      }
+      LTAM_ASSIGN_OR_RETURN(int64_t moves, F_I64(rec, 0));
+      LTAM_ASSIGN_OR_RETURN(int64_t ledgers, F_I64(rec, 1));
+      if (moves != static_cast<int64_t>(snap.movements.history().size()) ||
+          ledgers != static_cast<int64_t>(snap.ledgers.size())) {
+        return Status::ParseError(where +
+                                  ": end record counts differ from the file");
+      }
+      ended = true;
+    } else {
+      return Status::ParseError(where + " has unexpected record '" +
+                                rec.type + "'");
     }
-    if (rec_or->type != "move") {
-      return Status::ParseError("movement segment line " +
-                                std::to_string(line_no) +
-                                " has unexpected record '" + rec_or->type +
-                                "'");
-    }
-    Status applied = ApplyMoveRecord(*rec_or, &movements);
-    if (!applied.ok()) {
-      return applied.WithContext("movement segment line " +
-                                 std::to_string(line_no));
-    }
+    if (!applied.ok()) return applied.WithContext(where);
   }
-  return movements;
+  if (in_shards && !ended) {
+    return Status::ParseError("shard snapshot '" + path +
+                              "' has no end record (torn write?)");
+  }
+  return snap;
 }
 
 }  // namespace ltam

@@ -157,6 +157,30 @@ class MetricsRegistry {
   const Entry* FindEntry(const std::string& name) const;
 };
 
+/// Times the consecutive phases of one operation (a checkpoint, a
+/// recovery) into one histogram per phase: each Lap records the time
+/// since the previous one. Built inert when instrumentation is off, in
+/// which case it never reads the clock.
+class PhaseClock {
+ public:
+  explicit PhaseClock(bool on)
+      : on_(on), start_(on ? MonotonicNowNs() : 0), last_(start_) {}
+  /// Records the time since the previous lap into `phase` (when set).
+  void Lap(Histogram* phase) {
+    if (!on_) return;
+    const uint64_t now = MonotonicNowNs();
+    if (phase != nullptr) phase->Record(now - last_);
+    last_ = now;
+  }
+  /// Nanoseconds since construction (0 when inert).
+  uint64_t Elapsed() const { return on_ ? MonotonicNowNs() - start_ : 0; }
+
+ private:
+  bool on_;
+  uint64_t start_;
+  uint64_t last_;
+};
+
 /// Prometheus text exposition (version 0.0.4) of a snapshot. Metric
 /// names are sanitized (dots to underscores) and prefixed "ltam_";
 /// histograms render as summaries with quantile labels plus _sum and

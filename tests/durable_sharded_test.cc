@@ -14,6 +14,8 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -24,6 +26,7 @@
 
 #include "sim/graph_gen.h"
 #include "sim/workload.h"
+#include "storage/codec.h"
 #include "storage/event_log.h"
 #include "storage/manifest.h"
 #include "storage/wal.h"
@@ -188,6 +191,17 @@ void ExpectStateEquals(const DurableShardedSystem& recovered,
   }
 }
 
+/// Authorizations whose ledger reached max_entries: nonzero means the
+/// ledger, not the time windows alone, decided some grants.
+size_t ExhaustedAuths(const AuthorizationDatabase& db) {
+  size_t exhausted = 0;
+  for (AuthId id = 0; id < db.size(); ++id) {
+    const AuthRecord& rec = db.record(id);
+    if (rec.entries_used == rec.auth.max_entries()) ++exhausted;
+  }
+  return exhausted;
+}
+
 std::vector<fs::path> ShardWalPaths(const std::string& dir) {
   std::vector<fs::path> out;
   for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
@@ -293,9 +307,11 @@ TEST_F(DurableShardedTest, CheckpointRotatesEpochAndTruncatesLogs) {
     ASSERT_OK(sys->Checkpoint());
     EXPECT_EQ(sys->epoch(), 1u);
     EXPECT_EQ(sys->wal_events(), 0u);
-    // Old epoch's files are swept.
-    EXPECT_FALSE(fs::exists(dir_ + "/base-0.snap"));
-    EXPECT_TRUE(fs::exists(dir_ + "/base-1.snap"));
+    // Old epoch's files are swept; the unchanged base is re-referenced.
+    EXPECT_FALSE(fs::exists(dir_ + "/events-0-0.wal"));
+    EXPECT_TRUE(fs::exists(dir_ + "/events-0-1.wal"));
+    EXPECT_TRUE(fs::exists(dir_ + "/base-0.snap"));
+    EXPECT_FALSE(fs::exists(dir_ + "/base-1.snap"));
     ASSERT_OK(sys->EvaluateBatch(batches[1]).status());
     EXPECT_EQ(sys->wal_events(), batches[1].size());
   }
@@ -458,6 +474,11 @@ TEST_F(DurableShardedTest, CrashInjectionRecoveryMatrix) {
     ExpectStateEquals(*sys, reference, "crash trial");
     EXPECT_EQ(AlertMultiset(sys->DrainAlerts()),
               AlertMultiset(reference.MergedAlerts()));
+    if (trial == 1) {
+      // The world bounds max_entries, so the recovered ledger decides
+      // grants: some authorization is exhausted.
+      EXPECT_GT(ExhaustedAuths(reference.state.auth_db), 0u);
+    }
 
     // The recovered runtime must remain live: a probe batch and a patrol
     // tick behave exactly like the reference.
@@ -863,28 +884,37 @@ TEST_F(DurableShardedTest, PipelinedFaultsSurfaceInWatermarkNotDecisions) {
                     "post-checkpoint fault recovery");
 }
 
-/// Crash injection across a checkpoint: pre-checkpoint state comes from
+/// Crash injection across checkpoints: pre-checkpoint state (movements
+/// and the entry ledger, which lives in the shard snapshots) comes from
 /// the snapshot cut, only the tail is at the mercy of the truncation.
+/// Two event-only checkpoints re-reference the epoch-0 base, so the cut
+/// recovers from a base two epochs older than its shard snapshots.
 TEST_F(DurableShardedTest, CrashInjectionAfterCheckpoint) {
   const uint64_t kWorldSeed = 131;
   std::vector<SubjectId> subjects;
   SystemState probe = MakeInitialState(kWorldSeed, 24, &subjects);
   const std::string golden = dir_ + "/golden";
   fs::create_directories(golden);
-  auto batches = MakeBatches(probe, subjects, 400, 100, 151);
-  const size_t cut = batches.size() / 2;
+  auto batches = MakeBatches(probe, subjects, 600, 100, 151);
+  const size_t first_cut = batches.size() / 3;
+  const size_t cut = 2 * batches.size() / 3;
   {
     ASSERT_OK_AND_ASSIGN(
         std::unique_ptr<DurableShardedSystem> sys,
         DurableShardedSystem::Open(golden, MakeInitialState(kWorldSeed),
                                    Options()));
-    for (size_t i = 0; i < cut; ++i) {
+    for (size_t i = 0; i < batches.size(); ++i) {
+      if (i == first_cut || i == cut) {
+        ASSERT_OK(sys->Checkpoint());
+        ASSERT_OK_AND_ASSIGN(ShardManifest m,
+                             LoadManifest(golden + "/MANIFEST"));
+        EXPECT_EQ(m.base_snapshot, "base-0.snap") << "epoch " << m.epoch;
+        EXPECT_EQ(sys->last_checkpoint_dirty_segments(), kShards);
+      }
       ASSERT_OK(sys->EvaluateBatch(batches[i]).status());
     }
-    ASSERT_OK(sys->Checkpoint());
-    for (size_t i = cut; i < batches.size(); ++i) {
-      ASSERT_OK(sys->EvaluateBatch(batches[i]).status());
-    }
+    EXPECT_EQ(sys->epoch(), 2u);
+    EXPECT_EQ(sys->base_rewrites(), 1u);
   }
 
   Rng rng(5353);
@@ -908,6 +938,9 @@ TEST_F(DurableShardedTest, CrashInjectionAfterCheckpoint) {
     for (size_t i = 0; i < cut; ++i) {
       for (const AccessEvent& e : batches[i]) reference.ApplyEvent(e);
     }
+    // The ledger at the cut binds: it must come back from the shard
+    // snapshots, since the base carries none.
+    EXPECT_GT(ExhaustedAuths(reference.state.auth_db), 0u);
     reference.RebuildStaysAtCut();
     reference.ClearAlerts();
     for (const fs::path& wal : wals) {
@@ -1017,6 +1050,9 @@ TEST_F(DurableShardedTest, IncrementalCheckpointRewritesOnlyDirtyShards) {
   EXPECT_EQ(sys->last_checkpoint_dirty_segments(), kShards);
   ASSERT_OK_AND_ASSIGN(ShardManifest after_full,
                        LoadManifest(dir_ + "/MANIFEST"));
+  // Events touch only shard state (movements and entry ledgers): the
+  // epoch-0 base is re-referenced, not rewritten.
+  EXPECT_EQ(after_full.base_snapshot, "base-0.snap");
 
   // No traffic at all: the next cut rewrites nothing and re-references
   // every shard snapshot by name.
@@ -1030,6 +1066,7 @@ TEST_F(DurableShardedTest, IncrementalCheckpointRewritesOnlyDirtyShards) {
         << "idle checkpoint rewrote shard " << k;
     EXPECT_TRUE(fs::exists(dir_ + "/" + after_idle.shards[k].snapshot));
   }
+  EXPECT_EQ(after_idle.base_snapshot, after_full.base_snapshot);
 
   // Traffic confined to one subject: exactly its shard is rewritten.
   const SubjectId lone = subjects[0];
@@ -1048,6 +1085,44 @@ TEST_F(DurableShardedTest, IncrementalCheckpointRewritesOnlyDirtyShards) {
           << "clean shard " << k << " was rewritten";
     }
   }
+  EXPECT_EQ(after_lone.base_snapshot, "base-0.snap");
+  EXPECT_EQ(sys->base_rewrites(), 1u);
+
+  // A mutation window (mutable_base(), the facade's Mutate path): the
+  // next cut writes a new base, and every shard with it.
+  const LocationId room = sys->base().graph.Primitives()[0];
+  ASSERT_OK_AND_ASSIGN(
+      LocationTemporalAuthorization extra,
+      LocationTemporalAuthorization::Make(
+          TimeInterval(500, 600), TimeInterval(500, 700),
+          LocationAuthorization{lone, room}, /*max_entries=*/2));
+  sys->mutable_base().auth_db.Add(extra);
+  ASSERT_OK(sys->Checkpoint());
+  ASSERT_OK_AND_ASSIGN(ShardManifest after_mutate,
+                       LoadManifest(dir_ + "/MANIFEST"));
+  EXPECT_EQ(after_mutate.base_snapshot,
+            "base-" + std::to_string(after_mutate.epoch) + ".snap");
+  EXPECT_EQ(sys->last_checkpoint_dirty_segments(), kShards);
+  EXPECT_EQ(sys->base_rewrites(), 2u);
+  EXPECT_FALSE(fs::exists(dir_ + "/base-0.snap"))
+      << "the superseded base must be swept";
+
+  // Back to events only: the new base is re-referenced in turn.
+  ASSERT_OK(
+      sys->EvaluateBatch({AccessEvent::Observe(460, lone, 0)}).status());
+  ASSERT_OK(sys->Checkpoint());
+  ASSERT_OK_AND_ASSIGN(ShardManifest after_events,
+                       LoadManifest(dir_ + "/MANIFEST"));
+  EXPECT_EQ(after_events.base_snapshot, after_mutate.base_snapshot);
+  EXPECT_EQ(sys->last_checkpoint_dirty_segments(), 1u);
+  EXPECT_EQ(sys->base_rewrites(), 2u);
+
+  const size_t auths = sys->base().auth_db.size();
+  sys.reset();
+  ASSERT_OK_AND_ASSIGN(
+      sys, DurableShardedSystem::Open(dir_, MakeInitialState(211, 24),
+                                      Options()));
+  EXPECT_EQ(sys->base().auth_db.size(), auths);
 }
 
 /// Regression: a checkpoint whose retention pass dropped NOTHING used to
@@ -1317,6 +1392,259 @@ TEST_F(DurableShardedTest, RetentionTelemetryReconciles) {
 #if defined(__linux__)
   EXPECT_GT(registry.GetGauge("storage.resident_bytes")->value(), 0);
 #endif
+}
+
+
+// --- Ledger in the shard snapshots ---------------------------------------
+
+/// Every shard's movement history and every authorization's ledger.
+struct PersistedState {
+  std::vector<std::vector<std::string>> histories;
+  std::vector<int64_t> ledger;
+};
+
+PersistedState CaptureState(const DurableShardedSystem& sys) {
+  PersistedState out;
+  for (uint32_t k = 0; k < sys.num_shards(); ++k) {
+    out.histories.emplace_back();
+    for (const MovementEvent& ev : sys.shard_movements(k).history()) {
+      out.histories.back().push_back(MovementKey(ev));
+    }
+  }
+  const AuthorizationDatabase& db = sys.base().auth_db;
+  for (AuthId id = 0; id < db.size(); ++id) {
+    out.ledger.push_back(db.record(id).entries_used);
+  }
+  return out;
+}
+
+void ExpectSameState(const PersistedState& got, const PersistedState& want,
+                     const char* context) {
+  EXPECT_EQ(got.histories, want.histories) << context;
+  EXPECT_EQ(got.ledger, want.ledger) << context;
+}
+
+/// Records replayed from the WAL tail at Open change shard state without
+/// passing through the new logs: the next checkpoint must still rewrite
+/// those shards, or it would re-reference the pre-tail snapshots and
+/// sweep the tail along with the old logs.
+TEST_F(DurableShardedTest, CheckpointAfterReopenKeepsReplayedTail) {
+  std::vector<SubjectId> subjects;
+  SystemState probe = MakeInitialState(353, 24, &subjects);
+  PersistedState live;
+  {
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<DurableShardedSystem> sys,
+        DurableShardedSystem::Open(dir_, MakeInitialState(353), Options()));
+    for (const auto& batch : MakeBatches(probe, subjects, 400, 100, 359)) {
+      ASSERT_OK(sys->EvaluateBatch(batch).status());
+    }
+    live = CaptureState(*sys);
+  }
+  {
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<DurableShardedSystem> sys,
+        DurableShardedSystem::Open(dir_, MakeInitialState(353), Options()));
+    ExpectSameState(CaptureState(*sys), live, "reopened over the tail");
+    ASSERT_OK(sys->Checkpoint());  // No traffic since Open.
+    EXPECT_EQ(sys->last_checkpoint_dirty_segments(), kShards);
+  }
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DurableShardedSystem> sys,
+      DurableShardedSystem::Open(dir_, MakeInitialState(353), Options()));
+  ExpectSameState(CaptureState(*sys), live, "reopened after the checkpoint");
+}
+
+/// Recovery checks every ledger entry of a shard snapshot against the
+/// authorization database and the partition: a torn snapshot, a foreign
+/// subject's ledger, an unknown authorization id and a count above
+/// max_entries each fail Open instead of loading a wrong ledger.
+TEST_F(DurableShardedTest, ShardLedgerCorruptionFailsRecovery) {
+  std::vector<SubjectId> subjects;
+  SystemState world = MakeInitialState(307, 24, &subjects);
+  const std::string golden = dir_ + "/golden";
+  fs::create_directories(golden);
+  {
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<DurableShardedSystem> sys,
+        DurableShardedSystem::Open(golden, MakeInitialState(307), Options()));
+    for (const auto& batch : MakeBatches(world, subjects, 400, 100, 313)) {
+      ASSERT_OK(sys->EvaluateBatch(batch).status());
+    }
+    ASSERT_OK(sys->Checkpoint());
+  }
+  ASSERT_OK_AND_ASSIGN(ShardManifest m, LoadManifest(golden + "/MANIFEST"));
+  uint32_t shard = kShards;
+  ShardSnapshot good;
+  for (uint32_t k = 0; k < kShards && shard == kShards; ++k) {
+    ASSERT_OK_AND_ASSIGN(
+        good, LoadShardSnapshot(golden + "/" + m.shards[k].snapshot,
+                                LedgerPlacement::kInShards));
+    if (!good.ledgers.empty()) shard = k;
+  }
+  ASSERT_LT(shard, kShards) << "no shard snapshot carries a ledger";
+  // An authorization of a subject that lives on another shard.
+  AuthId foreign_auth = kInvalidAuth;
+  for (AuthId id = 0; id < world.auth_db.size(); ++id) {
+    const SubjectId s = world.auth_db.record(id).auth.subject();
+    if (ReferenceShards::ShardOf(s) != shard) {
+      foreign_auth = id;
+      break;
+    }
+  }
+  ASSERT_NE(foreign_auth, kInvalidAuth);
+
+  auto resave = [&](std::vector<SubjectLedger> ledgers) {
+    return [&, ledgers](const std::string& path) {
+      ASSERT_OK(SaveShardSnapshot(good.movements, ledgers, path));
+    };
+  };
+  std::vector<SubjectLedger> foreign = good.ledgers;
+  foreign.push_back(
+      {world.auth_db.record(foreign_auth).auth.subject(), {{foreign_auth, 1}}});
+  std::sort(foreign.begin(), foreign.end(),
+            [](const SubjectLedger& a, const SubjectLedger& b) {
+              return a.subject < b.subject;
+            });
+  std::vector<SubjectLedger> unknown = good.ledgers;
+  unknown.back().used.emplace_back(
+      static_cast<AuthId>(world.auth_db.size() + 7), 1);
+  std::vector<SubjectLedger> over = good.ledgers;
+  const AuthId over_id = over[0].used[0].first;
+  over[0].used[0].second = world.auth_db.record(over_id).auth.max_entries() + 1;
+
+  const std::vector<
+      std::pair<std::string, std::function<void(const std::string&)>>>
+      cases = {
+          {"torn mid-ledger",
+           [](const std::string& path) {
+             std::ifstream in(path, std::ios::binary);
+             const std::string contents(
+                 (std::istreambuf_iterator<char>(in)),
+                 std::istreambuf_iterator<char>());
+             const size_t ledger = contents.rfind("ledger\t");
+             ASSERT_NE(ledger, std::string::npos);
+             fs::resize_file(path, ledger + 10);
+           }},
+          {"foreign subject", resave(foreign)},
+          {"unknown authorization id", resave(unknown)},
+          {"count above max_entries", resave(over)},
+      };
+  for (const auto& [name, corrupt] : cases) {
+    SCOPED_TRACE(name);
+    const std::string trial = dir_ + "/trial";
+    fs::remove_all(trial);
+    fs::copy(golden, trial);
+    // The untouched copy recovers; only the corruption may fail it.
+    ASSERT_OK(DurableShardedSystem::Open(trial, MakeInitialState(307),
+                                         Options())
+                  .status());
+    fs::remove_all(trial);
+    fs::copy(golden, trial);
+    corrupt(trial + "/" + m.shards[shard].snapshot);
+    Result<std::unique_ptr<DurableShardedSystem>> opened =
+        DurableShardedSystem::Open(trial, MakeInitialState(307), Options());
+    ASSERT_FALSE(opened.ok());
+    EXPECT_TRUE(opened.status().IsParseError()) << opened.status().ToString();
+  }
+}
+
+/// A directory written before the ledger moved into the shard snapshots:
+/// its base carries the ledger in each `auth` record and its shard
+/// snapshots hold only `move` records. It opens with the same ledger,
+/// and its first checkpoint rewrites the base and every shard — the
+/// ones without traffic too — so no later cut re-references a shard
+/// snapshot that lacks its ledger.
+TEST_F(DurableShardedTest, LegacyDirectoryOpensAndUpgradesOnFirstCheckpoint) {
+  std::vector<SubjectId> subjects;
+  SystemState world = MakeInitialState(331, 24, &subjects);
+  PersistedState live;
+  {
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<DurableShardedSystem> sys,
+        DurableShardedSystem::Open(dir_, MakeInitialState(331), Options()));
+    for (const auto& batch : MakeBatches(world, subjects, 400, 100, 337)) {
+      ASSERT_OK(sys->EvaluateBatch(batch).status());
+    }
+    ASSERT_OK(sys->Checkpoint());
+    live = CaptureState(*sys);
+    // Rewrite the committed cut in the earlier format.
+    ASSERT_OK_AND_ASSIGN(ShardManifest m, LoadManifest(dir_ + "/MANIFEST"));
+    ASSERT_OK(SaveSnapshot(sys->base(), dir_ + "/" + m.base_snapshot,
+                           LedgerPlacement::kInline));
+    for (uint32_t k = 0; k < kShards; ++k) {
+      std::ofstream out(dir_ + "/" + m.shards[k].snapshot,
+                        std::ios::binary | std::ios::trunc);
+      for (const MovementEvent& ev : sys->shard_movements(k).history()) {
+        out << EncodeRecord({"move",
+                             {std::to_string(ev.time),
+                              std::to_string(ev.subject),
+                              ev.to == kInvalidLocation
+                                  ? "out"
+                                  : std::to_string(ev.to)}})
+            << '\n';
+      }
+    }
+  }
+  ASSERT_GT(std::count_if(live.ledger.begin(), live.ledger.end(),
+                          [](int64_t used) { return used > 0; }),
+            0);
+  {
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<DurableShardedSystem> sys,
+        DurableShardedSystem::Open(dir_, MakeInitialState(331), Options()));
+    ExpectSameState(CaptureState(*sys), live, "legacy directory");
+    // Traffic on one shard only; an observation leaves the ledger alone.
+    ASSERT_OK(sys->EvaluateBatch({AccessEvent::Observe(5000, subjects[0], 0)})
+                  .status());
+    live = CaptureState(*sys);
+    ASSERT_OK(sys->Checkpoint());
+    EXPECT_EQ(sys->last_checkpoint_dirty_segments(), kShards);
+    EXPECT_EQ(sys->base_rewrites(), 1u);
+    ASSERT_OK_AND_ASSIGN(ShardManifest m, LoadManifest(dir_ + "/MANIFEST"));
+    EXPECT_EQ(m.base_snapshot, "base-" + std::to_string(m.epoch) + ".snap");
+    for (uint32_t k = 0; k < kShards; ++k) {
+      EXPECT_OK(LoadShardSnapshot(dir_ + "/" + m.shards[k].snapshot,
+                                  LedgerPlacement::kInShards)
+                    .status());
+    }
+  }
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DurableShardedSystem> sys,
+      DurableShardedSystem::Open(dir_, MakeInitialState(331), Options()));
+  ExpectSameState(CaptureState(*sys), live, "upgraded directory");
+  ASSERT_OK(sys->Checkpoint());
+  EXPECT_EQ(sys->last_checkpoint_dirty_segments(), 0u);
+  EXPECT_EQ(sys->base_rewrites(), 0u);
+}
+
+/// A crash between writing a checkpoint's files and publishing its
+/// manifest leaves them behind. The retried checkpoint re-references a
+/// clean base or shard instead of rewriting that epoch's file, so Open
+/// sweeps every snapshot and cold file the committed cut does not name.
+TEST_F(DurableShardedTest, OrphanFilesAreSweptAtOpen) {
+  {
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<DurableShardedSystem> sys,
+        DurableShardedSystem::Open(dir_, MakeInitialState(367), Options()));
+    ASSERT_OK(sys->Checkpoint());
+  }
+  const std::vector<std::string> orphans = {"base-2.snap", "shard-1-2.snap",
+                                            "cold-0-5.seg"};
+  for (const std::string& name : orphans) {
+    std::ofstream(dir_ + "/" + name) << "left by a crashed checkpoint\n";
+  }
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DurableShardedSystem> sys,
+      DurableShardedSystem::Open(dir_, MakeInitialState(367), Options()));
+  for (const std::string& name : orphans) {
+    EXPECT_FALSE(fs::exists(dir_ + "/" + name)) << name;
+  }
+  ASSERT_OK_AND_ASSIGN(ShardManifest m, LoadManifest(dir_ + "/MANIFEST"));
+  EXPECT_TRUE(fs::exists(dir_ + "/" + m.base_snapshot));
+  for (uint32_t k = 0; k < kShards; ++k) {
+    EXPECT_TRUE(fs::exists(dir_ + "/" + m.shards[k].snapshot)) << k;
+  }
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -618,6 +619,139 @@ TEST_F(ReplicationTest, StaleEpochPrimaryIsFencedAndSurvivorRecovers) {
   c.Stop();
   b.Stop();
   a.Stop();
+}
+
+
+/// Opens a durable runtime over `dir` (fresh or existing).
+std::unique_ptr<AccessRuntime> OpenDurable(const World& w,
+                                           const std::string& dir) {
+  fs::create_directories(dir);
+  RuntimeOptions options;
+  options.num_shards = kShards;
+  options.durable_dir = dir;
+  Result<std::unique_ptr<AccessRuntime>> opened =
+      AccessRuntime::Open(StateOf(w), options);
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  return opened.ok() ? std::move(opened).ValueOrDie() : nullptr;
+}
+
+/// Ships every durable record `primary` holds past `replica`'s own
+/// positions, the way LogShipper resumes a subscription; returns the
+/// decisions the replica emitted, sorted.
+std::vector<std::string> CatchUp(AccessRuntime* primary,
+                                 AccessRuntime* replica) {
+  std::vector<std::string> decisions;
+  Result<std::vector<uint64_t>> positions = replica->ReplicationPositions();
+  EXPECT_TRUE(positions.ok()) << positions.status().ToString();
+  if (!positions.ok()) return decisions;
+  for (uint32_t k = 0; k < positions->size(); ++k) {
+    uint64_t at = (*positions)[k];
+    for (;;) {
+      Result<AccessRuntime::ReplicationSlice> slice =
+          primary->ReadReplicationSlice(k, at, 64);
+      EXPECT_TRUE(slice.ok()) << slice.status().ToString();
+      if (!slice.ok() || slice->records.empty()) break;
+      Result<AccessRuntime::ReplicationApplyResult> applied =
+          replica->ApplyReplicated(k, at, slice->records);
+      EXPECT_TRUE(applied.ok()) << applied.status().ToString();
+      if (!applied.ok()) break;
+      for (const Decision& d : applied->decisions) {
+        decisions.push_back(d.ToString());
+      }
+      at = slice->next;
+      EXPECT_EQ(applied->position, at);
+    }
+  }
+  std::sort(decisions.begin(), decisions.end());
+  return decisions;
+}
+
+/// Applies `batches[first, last)` to `rt`; returns its decisions, sorted.
+std::vector<std::string> ApplyAll(
+    AccessRuntime* rt, const std::vector<std::vector<AccessEvent>>& batches,
+    size_t first, size_t last) {
+  std::vector<std::string> decisions;
+  for (size_t i = first; i < last; ++i) {
+    Result<BatchResult> applied = rt->ApplyBatch(batches[i]);
+    EXPECT_TRUE(applied.ok() && applied->durability.ok());
+    if (!applied.ok()) continue;
+    for (const Decision& d : applied->decisions) {
+      decisions.push_back(d.ToString());
+    }
+  }
+  EXPECT_OK(rt->WaitDurable());
+  std::sort(decisions.begin(), decisions.end());
+  return decisions;
+}
+
+/// Replication positions are persisted, not rebuilt from zero: a primary
+/// and a replica reopened over a WAL tail — and again after a checkpoint
+/// folded that tail into snapshots — report the positions of a twin that
+/// was never closed, and the replica resumes from its own positions
+/// without re-applying a record.
+TEST_F(ReplicationTest, PositionsSurviveReopenOverTailAndCheckpoint) {
+  World w = MakeWorld(3301);
+  auto batches = MakeBatches(w, /*total_events=*/360, 3307);
+  ASSERT_EQ(batches.size(), 9u);
+  std::unique_ptr<AccessRuntime> twin = OpenDurable(w, root_ + "/twin");
+  std::unique_ptr<AccessRuntime> primary = OpenDurable(w, root_ + "/primary");
+  std::unique_ptr<AccessRuntime> replica = OpenDurable(w, root_ + "/replica");
+  ASSERT_TRUE(twin && primary && replica);
+  ASSERT_OK(replica->DemoteToReplica());
+
+  auto reopen = [&](const char* context) {
+    SCOPED_TRACE(context);
+    primary.reset();
+    replica.reset();
+    primary = OpenDurable(w, root_ + "/primary");
+    replica = OpenDurable(w, root_ + "/replica");
+    ASSERT_TRUE(primary && replica);
+    ASSERT_OK(replica->DemoteToReplica());
+    ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> want,
+                         twin->ReplicationPositions());
+    ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> got,
+                         primary->ReplicationPositions());
+    EXPECT_EQ(got, want);
+    ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> replica_got,
+                         replica->ReplicationPositions());
+    EXPECT_EQ(replica_got, want);
+    const RuntimeStats twin_stats = twin->Stats();
+    const RuntimeStats primary_stats = primary->Stats();
+    EXPECT_GT(twin_stats.applied_offset, 0u);
+    EXPECT_EQ(primary_stats.applied_offset, twin_stats.applied_offset);
+    EXPECT_EQ(primary_stats.durable_offset, twin_stats.durable_offset);
+    EXPECT_EQ(replica->Stats().applied_offset, twin_stats.applied_offset);
+  };
+
+  // Stage 1: everything stays in the WAL tails.
+  std::vector<std::string> want = ApplyAll(twin.get(), batches, 0, 3);
+  EXPECT_EQ(ApplyAll(primary.get(), batches, 0, 3), want);
+  EXPECT_EQ(CatchUp(primary.get(), replica.get()), want);
+  reopen("reopened over the WAL tail");
+
+  // Stage 2: resume after the reopen; then checkpoint the primary and
+  // the replica (the twin never checkpoints) and reopen again.
+  want = ApplyAll(twin.get(), batches, 3, 6);
+  EXPECT_EQ(ApplyAll(primary.get(), batches, 3, 6), want);
+  EXPECT_EQ(CatchUp(primary.get(), replica.get()), want);
+  ASSERT_OK(primary->Checkpoint());
+  ASSERT_OK(replica->Checkpoint());
+  reopen("reopened after a checkpoint");
+
+  // Stage 3: resume once more; the replica ends where the twin is.
+  want = ApplyAll(twin.get(), batches, 6, 9);
+  EXPECT_EQ(ApplyAll(primary.get(), batches, 6, 9), want);
+  EXPECT_EQ(CatchUp(primary.get(), replica.get()), want);
+  ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> final_twin,
+                       twin->ReplicationPositions());
+  ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> final_replica,
+                       replica->ReplicationPositions());
+  EXPECT_EQ(final_replica, final_twin);
+  for (SubjectId s : w.subjects) {
+    EXPECT_EQ(replica->movements().CurrentLocation(s),
+              twin->movements().CurrentLocation(s))
+        << "subject " << s;
+  }
 }
 
 }  // namespace

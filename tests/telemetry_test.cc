@@ -2,7 +2,8 @@
 // The metrics registry's contracts: striped counters aggregate exactly,
 // handles stay valid and shared, kind collisions degrade instead of
 // aborting, snapshots are safe while writers run (the TSan job hammers
-// this file), and the two text renderings are well-formed.
+// this file), the two text renderings are well-formed, and the durable
+// runtime's checkpoint and recovery phases reconcile with their totals.
 
 #include "telemetry/metrics.h"
 
@@ -10,12 +11,18 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "runtime/access_runtime.h"
+#include "sim/graph_gen.h"
+#include "sim/workload.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace ltam {
 namespace {
@@ -297,6 +304,106 @@ TEST(MetricsRegistryTest, ConcurrentGetOrCreateConvergesToOneHandle) {
   for (std::thread& t : threads) t.join();
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[0], seen[t]);
   EXPECT_EQ(static_cast<uint64_t>(kThreads), seen[0]->value());
+}
+
+
+TEST(PhaseClockTest, InertWithoutARegistry) {
+  MetricsRegistry registry;
+  Histogram* phase = registry.GetHistogram("phase");
+  PhaseClock off(false);
+  off.Lap(phase);
+  EXPECT_EQ(off.Elapsed(), 0u);
+  EXPECT_EQ(phase->Snapshot().count(), 0u);
+  PhaseClock on(true);
+  on.Lap(phase);
+  on.Lap(nullptr);  // An unwired phase is skipped, not a crash.
+  EXPECT_EQ(phase->Snapshot().count(), 1u);
+  EXPECT_GE(on.Elapsed(), phase->Snapshot().sum());
+}
+
+/// Checkpoint and recovery phases reconcile with independent counts:
+/// every checkpoint — explicit or after a Mutate window — records each
+/// phase once, the phases nest inside runtime.checkpoint, the base is
+/// written at epoch 0 and once per Mutate window only, and a reopen
+/// records each recovery phase once, inside the recovery duration.
+TEST(CheckpointTelemetryTest, PhasesReconcileWithRuntimeCheckpoint) {
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "/ltam_telemetry_phases";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  SystemState state;
+  state.graph = MakeGridGraph(4, 4).ValueOrDie();
+  std::vector<SubjectId> subjects = GenerateSubjects(&state.profiles, 12);
+  Rng rng(17);
+  AuthWorkloadOptions auth_opt;
+  auth_opt.horizon = 300;
+  auth_opt.max_entries = 3;
+  GenerateAuthorizations(state.graph, subjects, auth_opt, &rng,
+                         &state.auth_db);
+  BatchWorkloadOptions batch_opt;
+  batch_opt.batch_size = 30;
+  const std::vector<std::vector<AccessEvent>> batches =
+      GenerateEventBatches(state.graph, subjects, 240, batch_opt, &rng);
+  const LocationId room = state.graph.Primitives()[0];
+
+  MetricsRegistry registry;
+  RuntimeOptions options;
+  options.num_shards = 2;
+  options.durable_dir = dir;
+  options.metrics = &registry;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<AccessRuntime> rt,
+                       AccessRuntime::Open(state, options));
+  uint64_t mutates = 0;
+  for (size_t i = 0; i < batches.size(); ++i) {
+    ASSERT_OK(rt->ApplyBatch(batches[i]).status());
+    ASSERT_OK(rt->Checkpoint());
+    if (i % 3 == 1) {
+      ASSERT_OK(rt->Mutate([&](const MutableStores& stores) {
+        LTAM_ASSIGN_OR_RETURN(
+            LocationTemporalAuthorization auth,
+            LocationTemporalAuthorization::Make(
+                TimeInterval(0, 500), TimeInterval(0, 600),
+                LocationAuthorization{subjects[i % subjects.size()], room}));
+        stores.auth_db.Add(auth);
+        return Status::OK();
+      }));
+      ++mutates;
+    }
+  }
+  ASSERT_OK(rt->Checkpoint());  // Idle: nothing but the manifest.
+
+  const LatencyHistogram total =
+      registry.FindHistogram("runtime.checkpoint")->Snapshot();
+  EXPECT_EQ(total.count(), batches.size() + mutates + 1);
+  uint64_t phase_sum = 0;
+  for (const char* phase : {"flush", "maintain", "cold_persist", "base",
+                            "shards", "manifest", "sweep"}) {
+    Histogram* h =
+        registry.FindHistogram(std::string("checkpoint.phase.") + phase);
+    ASSERT_NE(h, nullptr) << phase;
+    EXPECT_EQ(h->Snapshot().count(), total.count()) << phase;
+    phase_sum += h->Snapshot().sum();
+  }
+  EXPECT_LE(phase_sum, total.sum());
+  EXPECT_EQ(registry.FindCounter("checkpoint.base_rewrites")->value(),
+            1 + mutates);
+
+  rt.reset();
+  ASSERT_OK_AND_ASSIGN(rt, AccessRuntime::Open(state, options));
+  uint64_t recovery_sum = 0;
+  for (const char* phase : {"manifest", "base", "shards", "cold", "replay"}) {
+    Histogram* h =
+        registry.FindHistogram(std::string("recovery.phase.") + phase);
+    ASSERT_NE(h, nullptr) << phase;
+    EXPECT_EQ(h->Snapshot().count(), 1u) << phase;
+    recovery_sum += h->Snapshot().sum();
+  }
+  const int64_t duration =
+      registry.FindGauge("recovery.duration_ns")->value();
+  EXPECT_GT(duration, 0);
+  EXPECT_LE(recovery_sum, static_cast<uint64_t>(duration));
+  rt.reset();
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -226,9 +226,15 @@ TEST_P(WalFuzzTest, ManifestParserNeverCrashes) {
                     "cold-" + std::to_string(k) + "-1.seg"};
       files.dropped_events = 17 * (k + 1);
     }
+    // And replication log floors (absent for floor 0).
+    if (k != 1) files.log_floor = 1000 * k + 7;
     valid.shards.push_back(std::move(files));
   }
   ASSERT_OK(SaveManifest(valid, path));
+  ASSERT_OK_AND_ASSIGN(ShardManifest reloaded, LoadManifest(path));
+  for (uint32_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(reloaded.shards[k].log_floor, valid.shards[k].log_floor);
+  }
   std::string contents;
   {
     std::ifstream in(path, std::ios::binary);
@@ -441,7 +447,8 @@ TEST_P(WalFuzzTest, ColdSegmentDecoderNeverCrashes) {
   }
 }
 
-/// Movement-segment loading under corruption (the per-shard snapshots).
+/// Shard-snapshot loading under corruption: movements, the delta-coded
+/// per-subject ledger records and the closing end record.
 TEST_P(WalFuzzTest, MovementSegmentLoaderNeverCrashes) {
   const std::string path = TempPath("segment");
   MovementDatabase movements;
@@ -458,7 +465,17 @@ TEST_P(WalFuzzTest, MovementSegmentLoaderNeverCrashes) {
     ASSERT_OK(movements.RecordMovement(t, s, l));
     at[s] = l;
   }
-  ASSERT_OK(SaveMovements(movements, path));
+  std::vector<SubjectLedger> ledgers;
+  AuthId id = 0;
+  for (SubjectId s = 0; s < 6; ++s) {
+    SubjectLedger ledger{s, {}};
+    for (int i = 0; i < 1 + static_cast<int>(rng.Uniform(5)); ++i) {
+      id += 1 + static_cast<AuthId>(rng.Uniform(40));
+      ledger.used.emplace_back(id, 1 + static_cast<int64_t>(rng.Uniform(9)));
+    }
+    ledgers.push_back(std::move(ledger));
+  }
+  ASSERT_OK(SaveShardSnapshot(movements, ledgers, path));
   std::string contents;
   {
     std::ifstream in(path, std::ios::binary);
@@ -466,14 +483,48 @@ TEST_P(WalFuzzTest, MovementSegmentLoaderNeverCrashes) {
                     std::istreambuf_iterator<char>());
   }
   // Round trip.
-  ASSERT_OK_AND_ASSIGN(MovementDatabase loaded, LoadMovements(path));
-  EXPECT_EQ(loaded.history().size(), movements.history().size());
+  ASSERT_OK_AND_ASSIGN(ShardSnapshot loaded,
+                       LoadShardSnapshot(path, LedgerPlacement::kInShards));
+  EXPECT_EQ(loaded.movements.history().size(), movements.history().size());
+  ASSERT_EQ(loaded.ledgers.size(), ledgers.size());
+  for (size_t i = 0; i < ledgers.size(); ++i) {
+    EXPECT_EQ(loaded.ledgers[i].subject, ledgers[i].subject);
+    EXPECT_EQ(loaded.ledgers[i].used, ledgers[i].used);
+  }
 
   for (int i = 0; i < 150; ++i) {
     WriteFile(path, i % 2 == 0 ? Mutate(contents, &rng)
                                : RandomBytes(&rng, 300));
-    Result<MovementDatabase> r = LoadMovements(path);
-    (void)r;  // ok or error; never a crash.
+    for (LedgerPlacement placement :
+         {LedgerPlacement::kInShards, LedgerPlacement::kInline}) {
+      Result<ShardSnapshot> r = LoadShardSnapshot(path, placement);
+      if (!r.ok()) continue;  // An error is fine; a crash is not.
+      // Whatever loads is well-formed: ids ascend within a subject,
+      // subjects ascend, counts are positive.
+      for (size_t k = 0; k < r->ledgers.size(); ++k) {
+        const SubjectLedger& got = r->ledgers[k];
+        if (k > 0) {
+          ASSERT_LT(r->ledgers[k - 1].subject, got.subject);
+        }
+        ASSERT_FALSE(got.used.empty());
+        for (size_t j = 0; j < got.used.size(); ++j) {
+          ASSERT_GE(got.used[j].second, 1);
+          ASSERT_NE(got.used[j].first, kInvalidAuth);
+          if (j > 0) {
+            ASSERT_LT(got.used[j - 1].first, got.used[j].first);
+          }
+        }
+      }
+    }
+  }
+  // Every prefix cut inside the ledger or the end record is a torn
+  // snapshot and must be refused (only the final newline may go).
+  const size_t ledger_start = contents.find("ledger\t");
+  ASSERT_NE(ledger_start, std::string::npos);
+  for (size_t cut = ledger_start; cut + 1 < contents.size(); ++cut) {
+    WriteFile(path, contents.substr(0, cut));
+    EXPECT_FALSE(LoadShardSnapshot(path, LedgerPlacement::kInShards).ok())
+        << "prefix of " << cut << " bytes loaded";
   }
   std::remove(path.c_str());
 }
