@@ -24,6 +24,7 @@
 #include "sim/graph_gen.h"
 #include "sim/workload.h"
 #include "storage/durable_sharded_system.h"
+#include "telemetry/metrics.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -545,6 +546,67 @@ void BM_RecoveryHistory(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_RecoveryHistory)
+    ->Arg(16384)
+    ->Arg(65536)
+    ->Arg(262144)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// --- Replica catch-up cost ---------------------------------------------------
+//
+// BM_ReplicationCatchup/<n>: a 2-shard durable primary holds about n
+// records per shard in its WAL tail (no checkpoint, one segment per
+// shard). Each iteration ships every shard from position 0 to its
+// durable end in 2048-record ReadReplicationSlice chunks, the LogShipper
+// default. Slices resume from byte cursors, so the time per record and
+// read_bytes_per_record (replication.read_bytes: the segment bytes the
+// reads pass over) stay flat in n; a rescan of the chain from its start
+// for every slice would grow both linearly.
+
+void BM_ReplicationCatchup(benchmark::State& state) {
+  constexpr uint32_t kShards = 2;
+  constexpr size_t kChunk = 2048;
+  const size_t per_shard = static_cast<size_t>(state.range(0));
+  BatchWorld w = MakeBatchWorld(2048, per_shard * kShards);
+  std::string dir = MakeBenchDir();
+  MetricsRegistry metrics;
+  RuntimeOptions options;
+  options.num_shards = kShards;
+  options.engine = QuietEngineOptions();
+  options.durable_dir = dir;
+  options.metrics = &metrics;
+  auto rt = AccessRuntime::Open(InitStateOf(w), options).ValueOrDie();
+  for (const auto& batch : w.batches) {
+    benchmark::DoNotOptimize(rt->ApplyBatch(batch));
+  }
+  LTAM_CHECK(rt->WaitDurable().ok());
+  const std::vector<uint64_t> ends = rt->ReplicationPositions().ValueOrDie();
+  uint64_t records = 0;
+  for (uint64_t end : ends) records += end;
+  Counter* read_bytes = metrics.GetCounter("replication.read_bytes");
+  const uint64_t bytes_before = read_bytes->value();
+  for (auto _ : state) {
+    for (uint32_t k = 0; k < kShards; ++k) {
+      uint64_t at = 0;
+      while (at < ends[k]) {
+        AccessRuntime::ReplicationSlice slice =
+            rt->ReadReplicationSlice(k, at, kChunk).ValueOrDie();
+        benchmark::DoNotOptimize(slice.records.data());
+        at = slice.next;
+      }
+    }
+  }
+  const double shipped =
+      static_cast<double>(state.iterations()) * static_cast<double>(records);
+  state.SetItemsProcessed(static_cast<int64_t>(shipped));
+  state.counters["records_per_shard"] =
+      static_cast<double>(records) / kShards;
+  state.counters["read_bytes_per_record"] =
+      static_cast<double>(read_bytes->value() - bytes_before) / shipped;
+  rt.reset();
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_ReplicationCatchup)
     ->Arg(16384)
     ->Arg(65536)
     ->Arg(262144)

@@ -15,8 +15,10 @@
 #                      # durable sync vs pipelined vs interval -> BENCH_pr5.json,
 #                      # checkpoint cost vs dirty shards and vs history,
 #                      # recovery time vs history (3 repetitions each)
-#                      # -> BENCH_pr13.json; fails loudly if any expected
-#                      # BENCH_pr<N>.json artifact is missing or empty
+#                      # -> BENCH_pr13.json, replica catch-up cost vs
+#                      # WAL length -> BENCH_pr14.json; fails loudly if
+#                      # any expected BENCH_pr<N>.json artifact is
+#                      # missing or empty
 #   ./ci.sh load       # open-loop tail latency: ltam_load vs a live
 #                      # ltam_serve per scenario family x arrival rate
 #                      # -> BENCH_pr7.json (p50/p90/p99/p999 end-to-end);
@@ -288,7 +290,17 @@ EOF
     --benchmark_out=BENCH_pr13.json --benchmark_out_format=json
   record_host_meta BENCH_pr13.json
   echo "bench: wrote $(pwd)/BENCH_pr13.json"
-  require_bench_artifacts bench BENCH_pr5.json BENCH_pr6.json BENCH_pr13.json
+  # Replica catch-up cost against WAL length: n records per shard
+  # shipped in 2048-record slices. Time per record (items_per_second)
+  # and read_bytes_per_record must stay flat in n.
+  ./build/bench/bench_access_engine \
+    --benchmark_filter='BM_ReplicationCatchup' \
+    --benchmark_min_time=0.05 --benchmark_repetitions=3 \
+    --benchmark_out=BENCH_pr14.json --benchmark_out_format=json
+  record_host_meta BENCH_pr14.json
+  echo "bench: wrote $(pwd)/BENCH_pr14.json"
+  require_bench_artifacts bench BENCH_pr5.json BENCH_pr6.json BENCH_pr13.json \
+    BENCH_pr14.json
 }
 
 load() {

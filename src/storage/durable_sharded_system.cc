@@ -33,35 +33,6 @@ Result<uint64_t> SizeOfFile(const std::string& path) {
   return static_cast<uint64_t>(st.st_size);
 }
 
-/// True when the file is empty or ends with a newline — i.e. no torn
-/// final record. Non-final rotated segments were fully fsynced before
-/// their successor existed, so a torn tail there is data loss, not a
-/// crash window.
-Result<bool> SegmentEndsClean(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open segment '" + path + "'");
-  }
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return Status::IOError("cannot seek segment '" + path + "'");
-  }
-  long size = std::ftell(f);
-  if (size <= 0) {
-    std::fclose(f);
-    return size == 0 ? Result<bool>(true)
-                     : Result<bool>(Status::IOError("cannot size segment '" +
-                                                    path + "'"));
-  }
-  if (std::fseek(f, -1, SEEK_END) != 0) {
-    std::fclose(f);
-    return Status::IOError("cannot seek segment '" + path + "'");
-  }
-  int last = std::fgetc(f);
-  std::fclose(f);
-  return last == '\n';
-}
-
 /// Phase names of checkpoint.phase.* and recovery.phase.*, in the order
 /// the phases run; the enums index checkpoint_phase_ / recovery_phase_.
 constexpr const char* kCheckpointPhases[] = {
@@ -109,6 +80,12 @@ DurableShardedSystem::DurableShardedSystem(std::string dir,
     resident_bytes_gauge_ = metrics->GetGauge("storage.resident_bytes");
     base_rewrites_counter_ = metrics->GetCounter("checkpoint.base_rewrites");
     recovery_duration_gauge_ = metrics->GetGauge("recovery.duration_ns");
+    replication_read_bytes_counter_ =
+        metrics->GetCounter("replication.read_bytes");
+    read_cursor_hits_counter_ =
+        metrics->GetCounter("replication.read_cursor.hits");
+    read_cursor_misses_counter_ =
+        metrics->GetCounter("replication.read_cursor.misses");
   }
   // Null histograms (no registry) leave every PhaseClock inert.
   for (const char* phase : kCheckpointPhases) {
@@ -201,6 +178,8 @@ void DurableShardedSystem::InitEngine(uint32_t num_shards) {
   maintenance_dirty_.assign(num_shards, false);
   log_floor_.assign(num_shards, 0);
   replayed_records_.assign(num_shards, 0);
+  read_cursors_.assign(num_shards,
+                       std::vector<ReadCursor>(kReadCursorsPerShard));
 }
 
 Status DurableShardedSystem::PartitionBaseMovements() {
@@ -289,10 +268,10 @@ Status DurableShardedSystem::ReplayShardLogs(const ShardManifest& manifest) {
       if (s + 1 < segments.size()) {
         // Rotation fsyncs a segment before its successor exists, so a
         // non-final segment must end on a record boundary.
-        Result<bool> clean = SegmentEndsClean(path);
-        if (!clean.ok()) {
-          prepared = clean.status();
-        } else if (!*clean) {
+        Result<size_t> torn = TornWalTailBytes(path);
+        if (!torn.ok()) {
+          prepared = torn.status();
+        } else if (*torn > 0) {
           prepared = Status::IOError(
               "rotated WAL segment '" + path +
               "' has a torn tail but is not the final segment (data loss)");
@@ -1007,15 +986,25 @@ uint64_t DurableShardedSystem::manifest_publish_skips() const {
 
 namespace {
 
-/// Streams a WAL segment's raw lines to `fn` (return false to stop).
-Status ForEachWalLine(const std::string& path,
-                      const std::function<bool(std::string&&)>& fn) {
+/// Streams a WAL segment's raw lines, from byte `offset` (a line
+/// boundary) on, to `fn` (return false to stop). `*end` advances past
+/// each line handed to `fn`; `*clean` says whether that line ended in a
+/// '\n' (a final line without one runs to end of file).
+Status ForEachWalLine(const std::string& path, uint64_t offset,
+                      const std::function<bool(std::string&&)>& fn,
+                      uint64_t* end, bool* clean) {
+  *end = offset;
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) {
     return Status::IOError("cannot open segment '" + path + "'");
   }
+  if (!in.seekg(static_cast<std::streamoff>(offset))) {
+    return Status::IOError("cannot seek segment '" + path + "'");
+  }
   std::string line;
   while (std::getline(in, line)) {
+    *clean = !in.eof();
+    *end += line.size() + (*clean ? 1 : 0);
     if (!fn(std::move(line))) break;
     line.clear();
   }
@@ -1035,6 +1024,8 @@ DurableShardedSystem::ReadShardRecords(uint32_t shard, uint64_t from,
   // Two passes: a checkpoint may sweep the chain we snapshotted out
   // from under the file reads; the second pass sees the fresh cut (and
   // its higher retired floor turns the race into "resync required").
+  // The second pass never resumes from a cursor, so a cursor that went
+  // wrong costs a rescan, never a wrong slice.
   Status last_read = Status::OK();
   for (int attempt = 0; attempt < 2; ++attempt) {
     uint64_t floor = 0;
@@ -1067,31 +1058,98 @@ DurableShardedSystem::ReadShardRecords(uint32_t shard, uint64_t from,
     if (from >= durable) return slice;  // Nothing durable to ship yet.
     const uint64_t want =
         std::min<uint64_t>(durable - from, static_cast<uint64_t>(max_records));
-    // The chain starts at the floor: replayed records, then appended.
-    uint64_t skip = from - floor;
+    if (want == 0) return slice;  // Leaves the cursors as they are.
+    // A matching cursor names a segment and a byte offset to resume
+    // at; otherwise the read starts at the chain's first segment, which
+    // starts at the floor (replayed records, then appended).
+    size_t segment = 0;
+    uint64_t offset = 0;
+    const bool resumed =
+        attempt == 0 &&
+        FindReadCursor(shard, from, floor, segments, &segment, &offset);
+    Counter* outcome =
+        resumed ? read_cursor_hits_counter_ : read_cursor_misses_counter_;
+    if (outcome != nullptr) outcome->Increment();
+    uint64_t skip = resumed ? 0 : from - floor;
+    uint64_t end = offset;
+    bool clean = true;
     last_read = Status::OK();
-    for (const std::string& segment : segments) {
-      if (slice.records.size() >= want) break;
-      last_read =
-          ForEachWalLine(FilePath(segment), [&](std::string&& line) {
+    for (; segment < segments.size(); ++segment, offset = 0) {
+      last_read = ForEachWalLine(
+          FilePath(segments[segment]), offset,
+          [&](std::string&& line) {
             if (skip > 0) {
               --skip;
               return true;
             }
-            if (slice.records.size() >= want) return false;
             slice.records.push_back(std::move(line));
-            return true;
-          });
-      if (!last_read.ok()) break;
+            return slice.records.size() < want;
+          },
+          &end, &clean);
+      if (replication_read_bytes_counter_ != nullptr) {
+        replication_read_bytes_counter_->Increment(end - offset);
+      }
+      if (!last_read.ok() || slice.records.size() == want) break;
     }
     if (last_read.ok() && slice.records.size() == want) {
+      // The read stopped right after its last record, in `segment`.
       slice.next = from + want;
+      if (clean) {
+        StoreReadCursor(shard, from,
+                        ReadCursor{slice.next, floor, segments[segment], end});
+      }
       return slice;
     }
   }
   if (!last_read.ok()) return last_read;
   return Status::IOError("shard " + std::to_string(shard) +
                          " chain is shorter than its durable watermark");
+}
+
+bool DurableShardedSystem::FindReadCursor(
+    uint32_t shard, uint64_t from, uint64_t floor,
+    const std::vector<std::string>& segments, size_t* segment,
+    uint64_t* offset) {
+  ReadCursor hit;
+  {
+    std::lock_guard<std::mutex> lock(read_cursor_mu_);
+    for (const ReadCursor& c : read_cursors_[shard]) {
+      if (!c.segment.empty() && c.position == from && c.floor == floor) {
+        hit = c;
+        break;
+      }
+    }
+  }
+  if (hit.segment.empty()) return false;
+  const auto in_chain = std::find(segments.begin(), segments.end(),
+                                  hit.segment);
+  if (in_chain == segments.end()) return false;
+  // Segments only grow while they are in the chain; a shorter file is
+  // not the one the cursor was taken in.
+  Result<uint64_t> size = SizeOfFile(FilePath(hit.segment));
+  if (!size.ok() || *size < hit.offset) return false;
+  *segment = static_cast<size_t>(in_chain - segments.begin());
+  *offset = hit.offset;
+  return true;
+}
+
+void DurableShardedSystem::StoreReadCursor(uint32_t shard, uint64_t from,
+                                           ReadCursor next) {
+  std::lock_guard<std::mutex> lock(read_cursor_mu_);
+  std::vector<ReadCursor>& slots = read_cursors_[shard];
+  // Replace the cursor this read resumed from, else the oldest (an
+  // unused slot is older than any cursor).
+  auto slot = std::find_if(slots.begin(), slots.end(), [&](const ReadCursor& c) {
+    return !c.segment.empty() && c.position == from && c.floor == next.floor;
+  });
+  if (slot == slots.end()) {
+    slot = std::min_element(slots.begin(), slots.end(),
+                            [](const ReadCursor& a, const ReadCursor& b) {
+                              return a.stored < b.stored;
+                            });
+  }
+  next.stored = ++read_cursor_clock_;
+  *slot = std::move(next);
 }
 
 Result<DurableShardedSystem::ReplicationApply>

@@ -273,6 +273,20 @@ class DurableShardedSystem {
   /// below the log floor is FailedPrecondition "resync required":
   /// a checkpoint folded those records into a snapshot and swept them.
   /// Callable from a shipper thread concurrent with the write path.
+  ///
+  /// Reads resume from byte cursors, so shipping a chain in chunks
+  /// reads it once instead of once per chunk. Each shard keeps
+  /// kReadCursorsPerShard cursors {position, log floor, segment, byte
+  /// offset}; a read that returns a full, non-empty slice leaves one at
+  /// its `next` (replacing the one it resumed from, else the oldest).
+  /// A request hits a cursor when `from` equals its position, the log
+  /// floor is the one it was taken under, and the segment is still in
+  /// the chain and at least `offset` bytes long; it then reads from that
+  /// offset on, crossing into later segments at end of file. Any other
+  /// request scans the chain from the floor, as without cursors. A
+  /// checkpoint moves the floor or renames the chain (segment names
+  /// carry the epoch), so it invalidates every cursor without further
+  /// bookkeeping. The returned records do not depend on the path taken.
   Result<ReplicationSlice> ReadShardRecords(uint32_t shard, uint64_t from,
                                             size_t max_records);
 
@@ -477,6 +491,36 @@ class DurableShardedSystem {
   /// sequence; the chain holds exactly replayed + appended records.
   std::vector<uint64_t> log_floor_;
   std::vector<uint64_t> replayed_records_;
+  /// Where an earlier replication read of a shard stopped: the position
+  /// after its last record, the log floor it read under, and the chain
+  /// segment and byte offset that position starts at. An empty segment
+  /// marks an unused slot.
+  struct ReadCursor {
+    uint64_t position = 0;
+    uint64_t floor = 0;
+    std::string segment;
+    uint64_t offset = 0;
+    uint64_t stored = 0;  ///< read_cursor_clock_ when it was stored.
+  };
+  /// Replication read cursors kept per shard: one for each of two
+  /// subscribers catching up the same shard in turn.
+  static constexpr size_t kReadCursorsPerShard = 2;
+  /// Per shard, kReadCursorsPerShard slots. Guarded by read_cursor_mu_,
+  /// held only to look a cursor up or store one, never across file I/O.
+  std::vector<std::vector<ReadCursor>> read_cursors_;
+  uint64_t read_cursor_clock_ = 0;
+  std::mutex read_cursor_mu_;
+  /// Looks up a cursor of `shard` at position `from` taken under
+  /// `floor` whose segment is still in `segments` and at least as long
+  /// as its offset; on a hit, sets the segment's index in `segments` and
+  /// the offset to resume at.
+  bool FindReadCursor(uint32_t shard, uint64_t from, uint64_t floor,
+                      const std::vector<std::string>& segments,
+                      size_t* segment, uint64_t* offset);
+  /// Leaves `next` in one of `shard`'s slots after a full read that
+  /// started at `from`: the slot of the cursor at `from`, else the
+  /// oldest.
+  void StoreReadCursor(uint32_t shard, uint64_t from, ReadCursor next);
   /// The base changed since the committed cut: set by mutable_base()
   /// and by loading a base that still carries the ledger; cleared once
   /// a manifest naming a rewritten base commits. The database version
@@ -523,6 +567,12 @@ class DurableShardedSystem {
   Gauge* cold_segments_gauge_ = nullptr;
   Gauge* cold_bytes_gauge_ = nullptr;
   Gauge* resident_bytes_gauge_ = nullptr;
+  /// replication.read_bytes (segment bytes ReadShardRecords passed
+  /// over, skipped lines included) and replication.read_cursor.{hits,
+  /// misses}.
+  Counter* replication_read_bytes_counter_ = nullptr;
+  Counter* read_cursor_hits_counter_ = nullptr;
+  Counter* read_cursor_misses_counter_ = nullptr;
 };
 
 }  // namespace ltam

@@ -104,25 +104,60 @@ Status ReplayWal(const std::string& path,
   return Status::OK();
 }
 
-Result<size_t> TruncateTornWalTail(const std::string& path) {
-  std::string contents;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) {
-      return Status::IOError("cannot open WAL '" + path +
-                             "' for tail repair");
-    }
-    contents.assign((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+namespace {
+
+/// Sets `*size` to the log's size and `*keep` to the bytes up to and
+/// including its last '\n' (0 when it has none). Reads the last byte,
+/// which settles a clean log, then backward a kWalTailBlock block at a
+/// time until a '\n' turns up.
+Status FindTornTail(const std::string& path, uint64_t* keep, uint64_t* size) {
+  std::ifstream in;
+  in.rdbuf()->pubsetbuf(nullptr, 0);  // Read exactly the blocks asked for.
+  in.open(path, std::ios::binary | std::ios::ate);
+  if (!in.is_open()) {
+    return Status::IOError("cannot open WAL '" + path + "' for tail repair");
   }
-  size_t last_nl = contents.find_last_of('\n');
-  size_t keep = last_nl == std::string::npos ? 0 : last_nl + 1;
-  if (keep == contents.size()) return size_t{0};
+  *size = static_cast<uint64_t>(in.tellg());
+  *keep = 0;
+  char block[kWalTailBlock];
+  size_t step = 1;
+  for (uint64_t end = *size; end > 0 && *keep == 0; step = kWalTailBlock) {
+    const uint64_t start = end > step ? end - step : 0;
+    const size_t len = static_cast<size_t>(end - start);
+    if (!in.seekg(static_cast<std::streamoff>(start)) ||
+        !in.read(block, static_cast<std::streamsize>(len))) {
+      return Status::IOError("cannot read WAL '" + path + "' for tail repair");
+    }
+    for (size_t i = len; i > 0; --i) {
+      if (block[i - 1] == '\n') {
+        *keep = start + i;
+        break;
+      }
+    }
+    end = start;
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<size_t> TornWalTailBytes(const std::string& path) {
+  uint64_t keep = 0;
+  uint64_t size = 0;
+  LTAM_RETURN_IF_ERROR(FindTornTail(path, &keep, &size));
+  return static_cast<size_t>(size - keep);
+}
+
+Result<size_t> TruncateTornWalTail(const std::string& path) {
+  uint64_t keep = 0;
+  uint64_t size = 0;
+  LTAM_RETURN_IF_ERROR(FindTornTail(path, &keep, &size));
+  if (keep == size) return size_t{0};
   if (::truncate(path.c_str(), static_cast<off_t>(keep)) != 0) {
     return Status::IOError("cannot truncate torn tail of WAL '" + path +
                            "': " + std::strerror(errno));
   }
-  return contents.size() - keep;
+  return static_cast<size_t>(size - keep);
 }
 
 namespace {

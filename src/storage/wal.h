@@ -62,12 +62,20 @@ class WalWriter {
 Status ReplayWal(const std::string& path,
                  const std::function<Status(const Record&)>& apply);
 
-/// Truncates a torn final record (bytes after the last newline, left by
-/// a crash mid-append) so subsequent appends start on a fresh line —
-/// otherwise the next append would merge with the torn bytes into one
-/// garbage record and poison the following recovery. Returns the number
-/// of bytes dropped (0 when the log ends cleanly).
+/// Bytes of a torn final record: those after the log's last newline,
+/// left by a crash mid-append (0 when the log ends cleanly or is empty;
+/// the whole file when it holds no newline). Reads the last byte, then
+/// backward in kWalTailBlock blocks, so a clean log costs one byte.
+Result<size_t> TornWalTailBytes(const std::string& path);
+
+/// Truncates a torn final record (see TornWalTailBytes) so subsequent
+/// appends start on a fresh line — otherwise the next append would
+/// merge with the torn bytes into one garbage record and poison the
+/// following recovery. Returns the number of bytes dropped.
 Result<size_t> TruncateTornWalTail(const std::string& path);
+
+/// Block size of the backward scan for a torn tail.
+constexpr size_t kWalTailBlock = 4096;
 
 /// True iff `path` exists (stat succeeds). The one existence probe every
 /// durable runtime (and the facade's directory sniffing) shares, so

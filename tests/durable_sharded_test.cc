@@ -11,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -1644,6 +1646,460 @@ TEST_F(DurableShardedTest, OrphanFilesAreSweptAtOpen) {
   EXPECT_TRUE(fs::exists(dir_ + "/" + m.base_snapshot));
   for (uint32_t k = 0; k < kShards; ++k) {
     EXPECT_TRUE(fs::exists(dir_ + "/" + m.shards[k].snapshot)) << k;
+  }
+}
+
+// --- Replication read cursors ---------------------------------------------
+
+using Slice = DurableShardedSystem::ReplicationSlice;
+
+/// Ships shard `k` from `from` up to its durable position in
+/// `chunk`-record slices, the way LogShipper resumes a subscription;
+/// `slices` (optional) receives the number of non-empty slices.
+std::vector<std::string> ShipChunked(DurableShardedSystem* sys, uint32_t k,
+                                     uint64_t from, size_t chunk,
+                                     uint64_t* slices = nullptr) {
+  std::vector<std::string> out;
+  for (;;) {
+    Result<Slice> slice = sys->ReadShardRecords(k, from, chunk);
+    EXPECT_TRUE(slice.ok()) << slice.status().ToString();
+    if (!slice.ok() || slice->records.empty()) break;
+    if (slices != nullptr) ++*slices;
+    EXPECT_EQ(slice->next, from + slice->records.size());
+    out.insert(out.end(), slice->records.begin(), slice->records.end());
+    from = slice->next;
+  }
+  return out;
+}
+
+/// Shard `k`'s whole durable chain in one read from its log floor. A
+/// cursor always sits past at least one record of its chain, never at a
+/// floor, so this read scans the chain from its first segment: the
+/// cursor-less reference every shipped sequence is compared with.
+std::vector<std::string> ReadFromFloor(DurableShardedSystem* sys, uint32_t k,
+                                       uint64_t floor) {
+  Result<Slice> slice =
+      sys->ReadShardRecords(k, floor, std::numeric_limits<size_t>::max());
+  EXPECT_TRUE(slice.ok()) << slice.status().ToString();
+  if (!slice.ok()) return {};
+  EXPECT_EQ(slice->next, slice->durable);
+  return slice->records;
+}
+
+/// The same sequence read straight from the segment files the manifest
+/// names, line by line: an oracle that shares no code with the reader.
+std::vector<std::string> ReadChainFiles(const std::string& dir, uint32_t k) {
+  std::vector<std::string> out;
+  Result<ShardManifest> m = LoadManifest(dir + "/MANIFEST");
+  EXPECT_TRUE(m.ok()) << m.status().ToString();
+  if (!m.ok()) return out;
+  for (const std::string& name : m->shards[k].wals) {
+    std::ifstream in(dir + "/" + name, std::ios::binary);
+    std::string line;
+    while (std::getline(in, line)) out.push_back(line);
+  }
+  return out;
+}
+
+void Ingest(DurableShardedSystem* sys,
+            const std::vector<std::vector<AccessEvent>>& batches) {
+  for (const auto& batch : batches) {
+    ASSERT_OK(sys->EvaluateBatch(batch).status());
+  }
+}
+
+struct CursorCounts {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t bytes = 0;
+};
+
+CursorCounts ReadCounts(MetricsRegistry& registry) {
+  return {registry.GetCounter("replication.read_cursor.hits")->value(),
+          registry.GetCounter("replication.read_cursor.misses")->value(),
+          registry.GetCounter("replication.read_bytes")->value()};
+}
+
+/// Slices resume from cursors across rotated segments, at chunk sizes
+/// that end on, before and after segment boundaries, and ship exactly
+/// what one read from the floor and the raw segment files hold.
+TEST_F(DurableShardedTest, ReplicationCursorChunksStraddleRotatedSegments) {
+  MetricsRegistry registry;
+  std::vector<SubjectId> subjects;
+  SystemState probe = MakeInitialState(401, 24, &subjects);
+  DurableShardedOptions opt = Options();
+  opt.durability.segment_max_bytes = 300;
+  opt.durability.metrics = &registry;
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DurableShardedSystem> sys,
+      DurableShardedSystem::Open(dir_, MakeInitialState(401), opt));
+  Ingest(sys.get(), MakeBatches(probe, subjects, 800, 20, 409));
+  for (uint32_t k = 0; k < kShards; ++k) {
+    ASSERT_GT(sys->shard_log(k).segment_index(), 2u)
+        << "shard " << k << " did not rotate; shrink segment_max_bytes";
+  }
+  for (uint32_t k = 0; k < kShards; ++k) {
+    SCOPED_TRACE("shard " + std::to_string(k));
+    const std::vector<std::string> reference = ReadFromFloor(sys.get(), k, 0);
+    ASSERT_EQ(reference.size(), sys->ShardWatermark(k).durable);
+    EXPECT_EQ(reference, ReadChainFiles(dir_, k));
+    for (size_t chunk : {1, 3, 7, 64}) {
+      const CursorCounts before = ReadCounts(registry);
+      EXPECT_EQ(ShipChunked(sys.get(), k, 0, chunk), reference)
+          << "chunk " << chunk;
+      const uint64_t slices = (reference.size() + chunk - 1) / chunk;
+      EXPECT_EQ(ReadCounts(registry).hits - before.hits, slices - 1)
+          << "chunk " << chunk;
+    }
+  }
+}
+
+/// A checkpoint between slices retires the shipped positions: an old
+/// position below the new floor is "resync required", and reads from
+/// the new floor ship the new chain, even where a cursor from the old
+/// chain sits at exactly the new floor's position.
+TEST_F(DurableShardedTest, ReplicationCursorCheckpointBetweenSlices) {
+  MetricsRegistry registry;
+  std::vector<SubjectId> subjects;
+  SystemState probe = MakeInitialState(419, 24, &subjects);
+  DurableShardedOptions opt = Options();
+  opt.durability.metrics = &registry;
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DurableShardedSystem> sys,
+      DurableShardedSystem::Open(dir_, MakeInitialState(419), opt));
+  auto batches = MakeBatches(probe, subjects, 800, 40, 421);
+  const size_t half = batches.size() / 2;
+  Ingest(sys.get(), {batches.begin(), batches.begin() + half});
+
+  // Shard 0 is shipped to its end (a cursor at the coming floor); every
+  // other shard stops halfway (a cursor below it).
+  std::vector<uint64_t> stopped(kShards, 0);
+  for (uint32_t k = 0; k < kShards; ++k) {
+    const uint64_t durable = sys->ShardWatermark(k).durable;
+    ASSERT_GT(durable, 4u);
+    const uint64_t upto = k == 0 ? durable : durable / 2;
+    uint64_t at = 0;
+    while (at < upto) {
+      ASSERT_OK_AND_ASSIGN(Slice slice, sys->ReadShardRecords(
+                                            k, at, std::min<uint64_t>(
+                                                       3, upto - at)));
+      at = slice.next;
+    }
+    stopped[k] = at;
+  }
+  ASSERT_OK(sys->Checkpoint());
+  std::vector<uint64_t> floors(kShards, 0);
+  for (uint32_t k = 0; k < kShards; ++k) {
+    floors[k] = sys->ShardWatermark(k).durable;
+  }
+  Ingest(sys.get(), {batches.begin() + half, batches.end()});
+
+  for (uint32_t k = 0; k < kShards; ++k) {
+    SCOPED_TRACE("shard " + std::to_string(k));
+    if (k == 0) {
+      ASSERT_EQ(stopped[k], floors[k]);
+    } else {
+      Result<Slice> stale = sys->ReadShardRecords(k, stopped[k], 3);
+      ASSERT_FALSE(stale.ok());
+      EXPECT_TRUE(stale.status().IsFailedPrecondition());
+      EXPECT_NE(stale.status().ToString().find("resync required"),
+                std::string::npos)
+          << stale.status().ToString();
+    }
+    const CursorCounts before = ReadCounts(registry);
+    uint64_t slices = 0;
+    const std::vector<std::string> shipped =
+        ShipChunked(sys.get(), k, floors[k], 5, &slices);
+    const CursorCounts after = ReadCounts(registry);
+    EXPECT_EQ(after.misses - before.misses, 1u)
+        << "the first read from the new floor must not resume an old cursor";
+    EXPECT_EQ(after.hits - before.hits, slices - 1);
+    const std::vector<std::string> reference =
+        ReadFromFloor(sys.get(), k, floors[k]);
+    ASSERT_FALSE(reference.empty());
+    EXPECT_EQ(shipped, reference);
+    EXPECT_EQ(reference, ReadChainFiles(dir_, k));
+  }
+}
+
+/// Checkpoints with no new records keep the floor but rename the chain
+/// (the segment names carry the epoch) under live cursors: reads at the
+/// shipped end stay empty, and the records appended afterwards ship
+/// exactly as one read from the floor returns them.
+TEST_F(DurableShardedTest, ReplicationCursorAcrossIdleCheckpoints) {
+  MetricsRegistry registry;
+  std::vector<SubjectId> subjects;
+  SystemState probe = MakeInitialState(431, 24, &subjects);
+  DurableShardedOptions opt = Options();
+  opt.durability.metrics = &registry;
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DurableShardedSystem> sys,
+      DurableShardedSystem::Open(dir_, MakeInitialState(431), opt));
+  auto batches = MakeBatches(probe, subjects, 600, 40, 433);
+  const size_t third = batches.size() / 3;
+  Ingest(sys.get(), {batches.begin(), batches.begin() + third});
+  std::vector<uint64_t> ends(kShards, 0);
+  for (uint32_t k = 0; k < kShards; ++k) {
+    EXPECT_EQ(ShipChunked(sys.get(), k, 0, 4), ReadFromFloor(sys.get(), k, 0));
+    ends[k] = sys->ShardWatermark(k).durable;
+  }
+  ASSERT_OK(sys->Checkpoint());
+  const uint64_t epoch = sys->epoch();
+  ASSERT_OK(sys->Checkpoint());
+  ASSERT_OK(sys->Checkpoint());
+  ASSERT_EQ(sys->epoch(), epoch + 2);
+  for (uint32_t k = 0; k < kShards; ++k) {
+    ASSERT_EQ(sys->ShardWatermark(k).durable, ends[k]);
+    ASSERT_OK_AND_ASSIGN(Slice empty, sys->ReadShardRecords(k, ends[k], 4));
+    EXPECT_TRUE(empty.records.empty());
+    EXPECT_EQ(empty.next, ends[k]);
+  }
+
+  // Records land in the renamed chain. The cursors each shard's last
+  // slice left name a retired segment under an older floor, so the
+  // first read from the shipped end scans; later slices resume.
+  Ingest(sys.get(), {batches.begin() + third, batches.end()});
+  for (uint32_t k = 0; k < kShards; ++k) {
+    SCOPED_TRACE("shard " + std::to_string(k));
+    const CursorCounts before = ReadCounts(registry);
+    uint64_t slices = 0;
+    const std::vector<std::string> shipped =
+        ShipChunked(sys.get(), k, ends[k], 6, &slices);
+    const CursorCounts after = ReadCounts(registry);
+    EXPECT_EQ(after.misses - before.misses, 1u);
+    EXPECT_EQ(after.hits - before.hits, slices - 1);
+    const std::vector<std::string> reference =
+        ReadFromFloor(sys.get(), k, ends[k]);
+    ASSERT_FALSE(reference.empty());
+    EXPECT_EQ(shipped, reference);
+    EXPECT_EQ(reference, ReadChainFiles(dir_, k));
+  }
+}
+
+/// A reopened runtime starts with no cursors: a subscriber resumes from
+/// its position by a scan, then from cursors again, over a chain of
+/// replayed records followed by records appended after the reopen.
+TEST_F(DurableShardedTest, ReplicationCursorResumesAcrossReopen) {
+  std::vector<SubjectId> subjects;
+  SystemState probe = MakeInitialState(439, 24, &subjects);
+  auto batches = MakeBatches(probe, subjects, 800, 40, 443);
+  const size_t half = batches.size() / 2;
+  std::vector<std::vector<std::string>> shipped(kShards);
+  std::vector<uint64_t> at(kShards, 0);
+  {
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<DurableShardedSystem> sys,
+        DurableShardedSystem::Open(dir_, MakeInitialState(439), Options()));
+    Ingest(sys.get(), {batches.begin(), batches.begin() + half});
+    for (uint32_t k = 0; k < kShards; ++k) {
+      const uint64_t upto = sys->ShardWatermark(k).durable * 2 / 3;
+      while (at[k] < upto) {
+        ASSERT_OK_AND_ASSIGN(Slice slice, sys->ReadShardRecords(k, at[k], 7));
+        shipped[k].insert(shipped[k].end(), slice.records.begin(),
+                          slice.records.end());
+        at[k] = slice.next;
+      }
+    }
+  }
+  MetricsRegistry registry;
+  DurableShardedOptions opt = Options();
+  opt.durability.metrics = &registry;
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DurableShardedSystem> sys,
+      DurableShardedSystem::Open(dir_, MakeInitialState(439), opt));
+  Ingest(sys.get(), {batches.begin() + half, batches.end()});
+  for (uint32_t k = 0; k < kShards; ++k) {
+    SCOPED_TRACE("shard " + std::to_string(k));
+    const std::vector<std::string> rest = ShipChunked(sys.get(), k, at[k], 7);
+    shipped[k].insert(shipped[k].end(), rest.begin(), rest.end());
+    const std::vector<std::string> reference = ReadFromFloor(sys.get(), k, 0);
+    EXPECT_EQ(shipped[k], reference);
+    EXPECT_EQ(reference, ReadChainFiles(dir_, k));
+  }
+  // One scan per shard on resuming, one per shard for the reference.
+  EXPECT_EQ(ReadCounts(registry).misses, 2u * kShards);
+  EXPECT_GT(ReadCounts(registry).hits, 0u);
+}
+
+/// Two subscribers at different positions, reading in turn with
+/// different slice sizes, each keep their own cursor: after its first
+/// read neither ever scans again.
+TEST_F(DurableShardedTest, ReplicationCursorsServeInterleavedSubscribers) {
+  MetricsRegistry registry;
+  std::vector<SubjectId> subjects;
+  SystemState probe = MakeInitialState(449, 24, &subjects);
+  DurableShardedOptions opt = Options();
+  opt.durability.metrics = &registry;
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DurableShardedSystem> sys,
+      DurableShardedSystem::Open(dir_, MakeInitialState(449), opt));
+  Ingest(sys.get(), MakeBatches(probe, subjects, 800, 40, 457));
+  for (uint32_t k = 0; k < kShards; ++k) {
+    SCOPED_TRACE("shard " + std::to_string(k));
+    const std::vector<std::string> reference = ReadFromFloor(sys.get(), k, 0);
+    const uint64_t end = reference.size();
+    ASSERT_GT(end, 20u);
+    const CursorCounts before = ReadCounts(registry);
+    struct Subscriber {
+      uint64_t at;
+      size_t chunk;
+      uint64_t start;
+      std::vector<std::string> got;
+    };
+    Subscriber subs[2] = {{0, 3, 0, {}}, {end / 3, 5, end / 3, {}}};
+    uint64_t reads = 0;
+    while (subs[0].at < end || subs[1].at < end) {
+      for (Subscriber& sub : subs) {
+        if (sub.at >= end) continue;
+        ASSERT_OK_AND_ASSIGN(Slice slice,
+                             sys->ReadShardRecords(k, sub.at, sub.chunk));
+        ++reads;
+        sub.got.insert(sub.got.end(), slice.records.begin(),
+                       slice.records.end());
+        sub.at = slice.next;
+      }
+    }
+    for (const Subscriber& sub : subs) {
+      EXPECT_EQ(sub.got, std::vector<std::string>(
+                             reference.begin() + sub.start, reference.end()));
+    }
+    const CursorCounts after = ReadCounts(registry);
+    EXPECT_EQ(after.misses - before.misses, 2u);
+    EXPECT_EQ(after.hits - before.hits, reads - 2);
+  }
+}
+
+/// Two shipper threads catch up every shard while the control thread
+/// keeps ingesting; each ends with exactly the chain one read from the
+/// floor returns. (Runs under the TSan CI job with the rest of this
+/// suite: the cursor slots are shared by both threads.)
+TEST_F(DurableShardedTest, ReplicationCursorReadsRaceIngest) {
+  std::vector<SubjectId> subjects;
+  SystemState probe = MakeInitialState(461, 24, &subjects);
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DurableShardedSystem> sys,
+      DurableShardedSystem::Open(dir_, MakeInitialState(461), Options()));
+  auto batches = MakeBatches(probe, subjects, 1600, 40, 463);
+  std::atomic<bool> ingest_done{false};
+  std::vector<std::vector<std::string>> got[2];
+  std::thread shippers[2];
+  const size_t chunks[2] = {4, 11};
+  for (int t = 0; t < 2; ++t) {
+    got[t].assign(kShards, {});
+    shippers[t] = std::thread([&, t] {
+      std::vector<uint64_t> at(kShards, 0);
+      for (bool idle = false; !idle;) {
+        const bool done_before = ingest_done.load();
+        idle = done_before;
+        for (uint32_t k = 0; k < kShards; ++k) {
+          Result<Slice> slice = sys->ReadShardRecords(k, at[k], chunks[t]);
+          if (!slice.ok()) {
+            ADD_FAILURE() << slice.status().ToString();
+            return;
+          }
+          got[t][k].insert(got[t][k].end(), slice->records.begin(),
+                           slice->records.end());
+          at[k] = slice->next;
+          // Once ingest had finished before this pass, an empty slice
+          // means the shard is shipped to its final durable position.
+          if (!slice->records.empty()) idle = false;
+        }
+      }
+    });
+  }
+  for (const auto& batch : batches) {
+    Result<std::vector<Decision>> applied = sys->EvaluateBatch(batch);
+    EXPECT_TRUE(applied.ok()) << applied.status().ToString();
+  }
+  ingest_done.store(true);
+  for (std::thread& t : shippers) t.join();
+  for (uint32_t k = 0; k < kShards; ++k) {
+    const std::vector<std::string> reference = ReadFromFloor(sys.get(), k, 0);
+    ASSERT_EQ(reference.size(), sys->ShardWatermark(k).durable);
+    EXPECT_EQ(got[0][k], reference) << "shard " << k;
+    EXPECT_EQ(got[1][k], reference) << "shard " << k;
+  }
+}
+
+/// replication.read_bytes and replication.read_cursor.{hits,misses}
+/// reconcile with a chunked catch-up of one unrotated segment per
+/// shard: every slice after the first resumes from a cursor, so the
+/// reads pass over each segment exactly once.
+TEST_F(DurableShardedTest, ReplicationReadTelemetryReconciles) {
+  MetricsRegistry registry;
+  std::vector<SubjectId> subjects;
+  SystemState probe = MakeInitialState(467, 24, &subjects);
+  DurableShardedOptions opt = Options();
+  opt.durability.metrics = &registry;
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DurableShardedSystem> sys,
+      DurableShardedSystem::Open(dir_, MakeInitialState(467), opt));
+  Ingest(sys.get(), MakeBatches(probe, subjects, 4000, 100, 479));
+  constexpr size_t kChunk = 16;
+  uint64_t segment_bytes = 0;
+  uint64_t slices = 0;
+  for (uint32_t k = 0; k < kShards; ++k) {
+    ASSERT_EQ(sys->shard_log(k).segment_index(), 0u);
+    ASSERT_OK_AND_ASSIGN(ShardManifest m, LoadManifest(dir_ + "/MANIFEST"));
+    ASSERT_EQ(m.shards[k].wals.size(), 1u);
+    segment_bytes += fs::file_size(dir_ + "/" + m.shards[k].wals[0]);
+    const uint64_t durable = sys->ShardWatermark(k).durable;
+    ASSERT_GT(durable, 10 * kChunk);
+    slices += (durable + kChunk - 1) / kChunk;
+  }
+  const CursorCounts before = ReadCounts(registry);
+  EXPECT_EQ(before.hits + before.misses + before.bytes, 0u);
+  for (uint32_t k = 0; k < kShards; ++k) {
+    EXPECT_EQ(ShipChunked(sys.get(), k, 0, kChunk).size(),
+              sys->ShardWatermark(k).durable);
+  }
+  const CursorCounts after = ReadCounts(registry);
+  EXPECT_EQ(after.misses, kShards);
+  EXPECT_EQ(after.hits, slices - kShards);
+  EXPECT_EQ(after.bytes, segment_bytes);
+}
+
+/// A read of zero records ships nothing, whether or not a cursor sits
+/// at its position, and leaves the cursors as they were: the slices
+/// around it resume and ship exactly what one read from the floor does.
+TEST_F(DurableShardedTest, ReplicationCursorSurvivesZeroRecordReads) {
+  MetricsRegistry registry;
+  std::vector<SubjectId> subjects;
+  SystemState probe = MakeInitialState(487, 24, &subjects);
+  DurableShardedOptions opt = Options();
+  opt.durability.segment_max_bytes = 300;
+  opt.durability.metrics = &registry;
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DurableShardedSystem> sys,
+      DurableShardedSystem::Open(dir_, MakeInitialState(487), opt));
+  Ingest(sys.get(), MakeBatches(probe, subjects, 800, 40, 491));
+  for (uint32_t k = 0; k < kShards; ++k) {
+    SCOPED_TRACE("shard " + std::to_string(k));
+    const std::vector<std::string> reference = ReadFromFloor(sys.get(), k, 0);
+    ASSERT_GT(reference.size(), 20u);
+    const CursorCounts before = ReadCounts(registry);
+    std::vector<std::string> shipped;
+    uint64_t at = 0;
+    uint64_t reads = 0;
+    while (at < reference.size()) {
+      // Zero-record reads at the cursor's position, ahead of it and
+      // behind it.
+      for (uint64_t pos : {at, at + 1, at / 2}) {
+        if (pos > reference.size()) continue;
+        ASSERT_OK_AND_ASSIGN(Slice none, sys->ReadShardRecords(k, pos, 0));
+        EXPECT_TRUE(none.records.empty());
+        EXPECT_EQ(none.next, pos);
+      }
+      ASSERT_OK_AND_ASSIGN(Slice slice, sys->ReadShardRecords(k, at, 6));
+      ++reads;
+      shipped.insert(shipped.end(), slice.records.begin(),
+                     slice.records.end());
+      at = slice.next;
+    }
+    EXPECT_EQ(shipped, reference);
+    const CursorCounts after = ReadCounts(registry);
+    EXPECT_EQ(after.misses - before.misses, 1u);
+    EXPECT_EQ(after.hits - before.hits, reads - 1);
   }
 }
 

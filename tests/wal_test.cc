@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "test_util.h"
 
@@ -82,6 +84,65 @@ TEST_F(WalTest, TornFinalLineIgnored) {
     return Status::OK();
   }));
   EXPECT_EQ(types, std::vector<std::string>{"good"});
+}
+
+/// Writes `bytes` as the whole content of `path`.
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
+  out << bytes;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Tail repair reads backward from the end: a clean or empty log stays
+/// as it is, a torn record is measured and cut back to the last newline
+/// whether it fits in one backward block or spans several, and a log
+/// with no newline at all is cut to nothing.
+TEST_F(WalTest, TornTailRepairKeepsEverythingUpToTheLastNewline) {
+  const std::string records = "good\t1\nmore\t2\n";
+
+  WriteFile(path_, records);
+  ASSERT_OK_AND_ASSIGN(size_t torn, TornWalTailBytes(path_));
+  EXPECT_EQ(torn, 0u);
+  ASSERT_OK_AND_ASSIGN(size_t dropped, TruncateTornWalTail(path_));
+  EXPECT_EQ(dropped, 0u) << "clean file";
+  EXPECT_EQ(ReadFile(path_), records);
+
+  WriteFile(path_, "");
+  ASSERT_OK_AND_ASSIGN(dropped, TruncateTornWalTail(path_));
+  EXPECT_EQ(dropped, 0u) << "empty file";
+  EXPECT_EQ(ReadFile(path_), "");
+
+  const std::string short_tail = "torn\tshort";
+  ASSERT_LT(short_tail.size(), kWalTailBlock);
+  WriteFile(path_, records + short_tail);
+  ASSERT_OK_AND_ASSIGN(torn, TornWalTailBytes(path_));
+  EXPECT_EQ(torn, short_tail.size());
+  ASSERT_OK_AND_ASSIGN(dropped, TruncateTornWalTail(path_));
+  EXPECT_EQ(dropped, short_tail.size()) << "torn tail inside one block";
+  EXPECT_EQ(ReadFile(path_), records);
+
+  const std::string long_tail(3 * kWalTailBlock + 17, 'x');
+  WriteFile(path_, long_tail);
+  ASSERT_OK_AND_ASSIGN(torn, TornWalTailBytes(path_));
+  EXPECT_EQ(torn, long_tail.size());
+  ASSERT_OK_AND_ASSIGN(dropped, TruncateTornWalTail(path_));
+  EXPECT_EQ(dropped, long_tail.size()) << "no newline, longer than a block";
+  EXPECT_EQ(ReadFile(path_), "");
+
+  // The newline the scan needs lies several blocks back, and exactly at
+  // a block boundary counted from the end.
+  WriteFile(path_, records + std::string(2 * kWalTailBlock, 'y'));
+  ASSERT_OK_AND_ASSIGN(dropped, TruncateTornWalTail(path_));
+  EXPECT_EQ(dropped, 2 * kWalTailBlock) << "torn record spanning blocks";
+  EXPECT_EQ(ReadFile(path_), records);
+
+  EXPECT_TRUE(TruncateTornWalTail(path_ + ".missing").status().IsIOError());
+  EXPECT_TRUE(TornWalTailBytes(path_ + ".missing").status().IsIOError());
 }
 
 TEST_F(WalTest, ReplayPropagatesApplyErrors) {
